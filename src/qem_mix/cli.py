@@ -178,13 +178,21 @@ def _cmd_generate(args) -> int:
     truth_out = args.truth_out or f"{args.out}.truth.json"
     save_ground_truth(truth, noise, truth_out, seed=seed)
     log.info("wrote %s (%d shots, %d distinct) and %s",
-             args.out, dataset.s, len(dataset.counts), truth_out)
+             args.out, dataset.s, dataset.distinct, truth_out)
     return 0
 
 
+def _config(factory, **values):
+    """A config object; a value it rejects is a usage error."""
+    try:
+        return factory(**values)
+    except ValueError as exc:
+        raise _UsageError(exc) from exc
+
+
 def _cmd_filter(args) -> int:
+    config = _config(FilterConfig, eta=args.eta, t_floor=args.t_floor)
     dataset = _load_dataset(args.input)
-    config = FilterConfig(eta=args.eta, t_floor=args.t_floor)
     report = filter_dataset(dataset, config, threshold=args.threshold)
     if args.out:
         save_counts(report.kept, args.out)
@@ -207,15 +215,15 @@ def _cmd_filter(args) -> int:
 
 def _cmd_mitigate(args) -> int:
     seed = _effective_seed(args, args.seed)
-    dataset = _load_dataset(args.input)
-    log.info("mitigate: %s (S=%d, n=%d), seed=%d",
-             args.input, dataset.s, dataset.n, seed)
-    filter_config = FilterConfig(eta=args.eta, t_floor=args.t_floor)
-    em_config = EmConfig(
-        k_min=args.k_min, k_max=args.k_max, delta=args.delta,
+    filter_config = _config(FilterConfig, eta=args.eta, t_floor=args.t_floor)
+    em_config = _config(
+        EmConfig, k_min=args.k_min, k_max=args.k_max, delta=args.delta,
         max_iters=args.max_iters, seed=seed, eps_init=args.eps_init,
         mml_enabled=not args.no_mml,
     )
+    dataset = _load_dataset(args.input)
+    log.info("mitigate: %s (S=%d, n=%d), seed=%d",
+             args.input, dataset.s, dataset.n, seed)
     result = run_pipeline(
         dataset, filter_config, em_config,
         skip_filter=args.skip_filter, threshold=args.threshold,
@@ -313,7 +321,7 @@ def dispatch(argv) -> int:
 
     try:
         return int(args.func(args) or 0)
-    except InfeasibleError as exc:
+    except (InfeasibleError, _UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ParseError, EmptyDatasetError, DimensionError, NormalizationError) as exc:

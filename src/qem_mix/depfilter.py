@@ -15,16 +15,19 @@ there, ``filter_dataset`` widens the radius by a rule fixed by S, n, eta and
 t_floor (``select_radius``): the widest r before the first one at which
 uniform noise is expected to leave at least one survivor.
 
-Radius-1 counting enumerates the n single-bit toggles of each distinct
-string and looks them up in the count table: O(U*n) lookups, never O(2**n).
+Both passes run on the dataset's sorted packed keys and their counts.
+Radius-1 counting sets each clear bit of every key and looks the result
+up by binary search over the sorted keys: O(n * U log U), never O(2**n).
 Wider radii compare all pairs of distinct strings with blocked Gram
-products: O(U**2 * n) arithmetic in bounded memory.
+products: O(U**2 * n) arithmetic in bounded memory. Shots are kept with
+one boolean mask over the distinct strings.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -59,27 +62,33 @@ class FilterConfig:
     t_floor: int = 2
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError(f"eta must be > 0, got {self.eta}")
-        if self.t_floor < 1:
-            raise ValueError(f"t_floor must be >= 1, got {self.t_floor}")
+        if not math.isfinite(self.eta) or self.eta <= 0:
+            raise ValueError(f"eta must be finite and > 0, got {self.eta}")
+        if not math.isfinite(self.t_floor) or self.t_floor < 1:
+            raise ValueError(f"t_floor must be finite and >= 1, got {self.t_floor}")
 
 
 @dataclass(frozen=True)
 class FilterReport:
     """Outcome of one filtering pass.
 
-    ``lam`` is the expected uniform frequency S/2**n; ``support_counts``
-    maps each distinct observed BitString to its f_r(x) at the ``radius``
-    the pass used (1 unless the radius was widened).
+    ``lam`` is the expected uniform frequency S/2**n; ``support`` holds
+    f_r(x) at the ``radius`` the pass used (1 unless the radius was
+    widened), aligned with the keys of ``source``, the dataset filtered.
     """
 
     kept: ShotDataset
     removed_count: int
     threshold_used: float
     lam: float
-    support_counts: dict
+    support: np.ndarray = field(repr=False, compare=False)
+    source: ShotDataset = field(repr=False, compare=False)
     radius: int = 1
+
+    @cached_property
+    def support_counts(self) -> dict:
+        """f_r(x) per distinct observed BitString, built on first access."""
+        return dict(zip(self.source.distinct_sorted()[0], self.support.tolist()))
 
 
 def support_counts(dataset: ShotDataset, radius: int = 1) -> dict:
@@ -87,27 +96,60 @@ def support_counts(dataset: ShotDataset, radius: int = 1) -> dict:
     Hamming distance ``radius`` of x, its own shots included.
 
     Only observed strings contribute (unobserved neighbors count 0).
-    Radius 1 costs O(U*n) lookups; wider radii cost O(U**2 * n).
+    Radius 1 costs O(n * U log U); wider radii cost O(U**2 * n).
     """
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
+    return dict(zip(dataset.distinct_sorted()[0], _support(dataset, radius).tolist()))
+
+
+def _support(dataset: ShotDataset, radius: int) -> np.ndarray:
+    """f_r per distinct string, aligned with ``dataset.keys``.
+
+    At radius 1, for each bit, every key with the bit clear is looked up
+    with the bit set by binary search over the sorted keys, and each pair
+    found credits both ends. Two strings one bit apart share every key
+    word but the toggled one, so on multi-word keys only rows that share
+    those words with another row are searched.
+    """
     if radius > 1:
         return _support_within(dataset, radius)
-    by_value = {bs.value: c for bs, c in dataset.counts.items()}
-    n = dataset.n
-    masks = [1 << j for j in range(n)]
-    get = by_value.get
-    out = {}
-    for bs, c in dataset.counts.items():
-        v = bs.value
-        f = c
-        for m in masks:
-            f += get(v ^ m, 0)
-        out[bs] = f
-    return out
+    keys, cnt = dataset.keys, dataset.key_counts
+    w = keys.shape[1]
+    f = cnt.copy()
+    for i in range(w):
+        rows = np.arange(len(keys))
+        if w > 1:
+            _, group, size = np.unique(np.delete(keys, i, axis=1), axis=0,
+                                       return_inverse=True, return_counts=True)
+            rows = np.flatnonzero(size[group.reshape(-1)] > 1)
+            if not rows.size:
+                continue
+        sub, ref = keys[rows], _sortable(keys[rows])
+        for b in range(dataset.n - 64 * (w - 1) if i == 0 else 64):  # bits in word i
+            # search from the side with the bit clear; credit both ends
+            bit = np.uint64(1) << np.uint64(b)
+            low = np.flatnonzero((sub[:, i] & bit) == 0)
+            query = sub[low]
+            query[:, i] |= bit
+            query = _sortable(query)
+            pos = np.minimum(np.searchsorted(ref, query), len(ref) - 1)
+            hit = ref[pos] == query
+            a, c = rows[low[hit]], rows[pos[hit]]
+            f[a] += cnt[c]
+            f[c] += cnt[a]
+    return f
 
 
-def _support_within(dataset: ShotDataset, radius: int) -> dict:
+def _sortable(keys: np.ndarray) -> np.ndarray:
+    """One comparable item per key row, ordered as the rows: the word itself
+    for n <= 64, else the row's big-endian bytes."""
+    if keys.shape[1] == 1:
+        return keys[:, 0]
+    return keys.astype(">u8").view(f"V{8 * keys.shape[1]}")[:, 0]
+
+
+def _support_within(dataset: ShotDataset, radius: int) -> np.ndarray:
     """Radius-r support by blocked Gram products over the distinct strings.
 
     With bits mapped to +-1, z_i . z_j = n - 2*d(i, j), so d <= r is one
@@ -116,12 +158,11 @@ def _support_within(dataset: ShotDataset, radius: int) -> dict:
     to both sides. The block is the narrow side of the product, which keeps
     BLAS from re-packing the wide side once per block.
     """
-    strings = list(dataset.counts)
-    u, n = len(strings), dataset.n
+    u, n = dataset.distinct, dataset.n
     # Gram entries and count sums are integers, exact in float32 up to 2**24.
     dtype = np.float32 if max(dataset.s, n) <= 1 << 24 else np.float64
-    cnt = np.fromiter(dataset.counts.values(), dtype=dtype, count=u)
-    z = ShotDataset(strings).bit_matrix.astype(dtype)
+    cnt = dataset.key_counts.astype(dtype)
+    z = dataset.distinct_bits().astype(dtype)
     z *= -2
     z += 1
     bound = n - 2 * radius
@@ -133,7 +174,7 @@ def _support_within(dataset: ShotDataset, radius: int) -> dict:
         np.greater_equal(within, bound, out=within)
         f[a:b] += cnt[a:] @ within
         f[b:] += within[b - a:] @ cnt[a:b]
-    return {bs: int(v) for bs, v in zip(strings, f)}
+    return f.astype(np.int64)
 
 
 def _ball(n: int, radius: int) -> int:
@@ -238,29 +279,19 @@ def filter_dataset(
     lam = math.ldexp(s, -n)
     radius = 1
     t = compute_threshold(s, n, config) if threshold is None else float(threshold)
-    support = support_counts(dataset)
-    kept_shots = [x for x in dataset.shots if support[x] >= t]
-    if (
-        not kept_shots
-        and threshold is None
-        and all(support[x] == c for x, c in dataset.counts.items())
-    ):
+    support = _support(dataset, 1)
+    keep = support >= t
+    if not keep.any() and threshold is None and np.array_equal(support, dataset.key_counts):
         radius = select_radius(s, n, config)
         if radius > 1:
             t = compute_threshold(s, n, config, radius)
-            support = support_counts(dataset, radius)
-            kept_shots = [x for x in dataset.shots if support[x] >= t]
-    if not kept_shots:
+            support = _support(dataset, radius)
+            keep = support >= t
+    if not keep.any():
         raise AllFilteredError(
             f"threshold {t:g} at Hamming radius {radius} removed all {s} shots; "
             f"lower eta (currently {config.eta:g}) or pass an explicit --threshold"
         )
-    kept = ShotDataset(kept_shots)
-    return FilterReport(
-        kept=kept,
-        removed_count=s - kept.s,
-        threshold_used=t,
-        lam=lam,
-        support_counts=support,
-        radius=radius,
-    )
+    kept = dataset.select_distinct(keep)
+    return FilterReport(kept=kept, removed_count=s - kept.s, threshold_used=t, lam=lam,
+                        support=support, source=dataset, radius=radius)

@@ -112,6 +112,9 @@ class EmConfig:
     mml_enabled: bool = True
 
     def __post_init__(self):
+        for name in ("delta", "eps_init", "eps_clamp_lo", "eps_clamp_gap"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 1 <= self.k_min <= self.k_max:
             raise ValueError(f"need 1 <= k_min <= k_max, got {self.k_min}..{self.k_max}")
         if self.delta <= 0:
@@ -154,17 +157,28 @@ class EmReport:
 
 # ---------------------------------------------------------------------------
 # probability kernels
+#
+# Every step runs on the U distinct observed strings with their counts c as
+# row weights: the objective is c . lse and the M-step sums use W * c. The
+# public S-row functions expand U -> S rows with the dataset's shot index,
+# or fold S -> U rows with np.add.at, and call the same kernels.
 
 
 def _bits_matrix(strings) -> np.ndarray:
     return np.stack([s.bits() for s in strings]).astype(np.uint8)
 
 
+def _rows(dataset: ShotDataset):
+    """Distinct rows as floats (U x n) and their counts as float weights."""
+    return (dataset.distinct_bits().astype(np.float64),
+            dataset.key_counts.astype(np.float64))
+
+
 def _loglik_matrix(yf: np.ndarray, xb: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """S x K matrix of log P(y_i | x_k, eps).
+    """U x K matrix of log P(y_i | x_k, eps).
 
     Expanding the XOR as y + x - 2xy turns the bit-mismatch sum into one
-    S*n*K matmul plus rank-1 terms.
+    U*n*K matmul plus rank-1 terms.
     """
     logit = np.log(eps) - np.log1p(-eps)
     base = float(np.log1p(-eps).sum())
@@ -185,17 +199,23 @@ def _softmax_rows(a: np.ndarray):
     return w, m + np.log(rowsum)
 
 
-def _model_matrix(dataset: ShotDataset, model: MixtureModel):
+def _log_joint(yf, xb, alpha, eps) -> np.ndarray:
+    """log(alpha_k) + log P(y_i | x_k, eps); -inf for zero-weight columns."""
+    a = _loglik_matrix(yf, xb, eps)
+    with np.errstate(divide="ignore"):
+        a += np.where(alpha > 0, np.log(alpha), -np.inf)[None, :]
+    return a
+
+
+def _posterior(dataset: ShotDataset, model: MixtureModel):
+    """E-step kernel on the distinct rows: (W, row lse, counts)."""
     if model.n != dataset.n:
         raise DimensionError(f"model width {model.n} != dataset width {dataset.n}")
     if model.k_nz == 0:
         raise InvalidModelError("all mixing weights are zero")
-    yf = dataset.bit_matrix.astype(np.float64)
-    xb = _bits_matrix(model.x)
-    a = _loglik_matrix(yf, xb, model.eps)
-    with np.errstate(divide="ignore"):
-        a += np.where(model.alpha > 0, np.log(model.alpha), -np.inf)[None, :]
-    return a
+    yf, c = _rows(dataset)
+    w, lse = _softmax_rows(_log_joint(yf, _bits_matrix(model.x), model.alpha, model.eps))
+    return w, lse, c
 
 
 def log_component_likelihood(y: BitString, x: BitString, eps: np.ndarray) -> float:
@@ -211,9 +231,8 @@ def log_component_likelihood(y: BitString, x: BitString, eps: np.ndarray) -> flo
 
 def log_likelihood(dataset: ShotDataset, model: MixtureModel) -> float:
     """Mixture log-likelihood of the dataset under the model."""
-    a = _model_matrix(dataset, model)
-    _, lse = _softmax_rows(a)
-    return float(lse.sum())
+    _, lse, c = _posterior(dataset, model)
+    return float(c @ lse)
 
 
 def _mml_penalty(s: int, n: int, alpha: np.ndarray) -> float:
@@ -236,9 +255,8 @@ def mml_objective(dataset: ShotDataset, model: MixtureModel) -> float:
 def e_step(dataset: ShotDataset, model: MixtureModel) -> np.ndarray:
     """Posterior responsibilities W (S x K); columns of zero-weight
     components are exactly zero, rows sum to 1."""
-    a = _model_matrix(dataset, model)
-    w, _ = _softmax_rows(a)
-    return w
+    w, _, _ = _posterior(dataset, model)
+    return w[dataset.shot_index()]
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +276,28 @@ def m_step_alpha(w: np.ndarray, n: int) -> np.ndarray:
     return num / total
 
 
+def _m_step(yf, wc, s, xb=None, clamp_lo=1e-6, clamp_gap=1e-6):
+    """Centers and flip probabilities from count-weighted responsibilities
+    ``wc`` over the distinct rows ``yf``. Centers are the per-bit weighted
+    majority vote (exact ties resolve to bit 1) unless ``xb`` is given; eps
+    is the weighted mismatch fraction, clamped away from 0 and 0.5."""
+    g, col = wc.T @ yf, wc.sum(axis=0)
+    if xb is None:
+        xb = (2.0 * g - col[:, None] >= 0.0).astype(np.uint8)
+    mism = (g * (1.0 - 2.0 * xb) + col[:, None] * xb).sum(axis=0)
+    return xb, np.clip(mism / s, clamp_lo, 0.5 - clamp_gap)
+
+
+def _fold(dataset: ShotDataset, w: np.ndarray) -> np.ndarray:
+    """S-row responsibilities summed onto the distinct rows."""
+    wc = np.zeros((dataset.distinct, w.shape[1]))
+    np.add.at(wc, dataset.shot_index(), w)
+    return wc
+
+
 def m_step_x(dataset: ShotDataset, w: np.ndarray) -> list:
     """Per-component weighted majority vote; exact ties resolve to bit 1."""
-    yf = dataset.bit_matrix.astype(np.float64)
-    g = w.T @ yf
-    col = w.sum(axis=0)
-    votes = 2.0 * g - col[:, None]
-    bits = (votes >= 0.0).astype(np.uint8)
+    bits, _ = _m_step(_rows(dataset)[0], _fold(dataset, w), dataset.s)
     return [BitString.from_bits(row) for row in bits]
 
 
@@ -277,12 +310,8 @@ def m_step_eps(
 ) -> np.ndarray:
     """Responsibility-weighted mismatch fraction per bit, clamped away from
     0 and 0.5 to keep the log-space kernels finite."""
-    yf = dataset.bit_matrix.astype(np.float64)
-    xf = _bits_matrix(x_new).astype(np.float64)
-    g = w.T @ yf
-    col = w.sum(axis=0)
-    mism = (g * (1.0 - 2.0 * xf) + col[:, None] * xf).sum(axis=0)
-    return np.clip(mism / dataset.s, clamp_lo, 0.5 - clamp_gap)
+    yf, wc = _rows(dataset)[0], _fold(dataset, w)
+    return _m_step(yf, wc, dataset.s, _bits_matrix(x_new), clamp_lo, clamp_gap)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -299,15 +328,14 @@ def kmeanspp_init(dataset: ShotDataset, k_max: int, seed: int) -> list:
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    strings, cnt = dataset.distinct_sorted()
-    n = dataset.n
+    n, u = dataset.n, dataset.distinct
     rng = np.random.default_rng(seed)
-    bits = _bits_matrix(strings)
-    weights = cnt.astype(np.float64)
+    bits = dataset.distinct_bits()
+    weights = dataset.key_counts.astype(np.float64)
 
     centers = []
-    first = int(rng.choice(len(strings), p=weights / weights.sum()))
-    centers.append(strings[first])
+    first = int(rng.choice(u, p=weights / weights.sum()))
+    centers.append(BitString.from_bits(bits[first]))
     d_min = (bits ^ bits[first]).sum(axis=1, dtype=np.int64)
 
     while len(centers) < k_max:
@@ -316,8 +344,8 @@ def kmeanspp_init(dataset: ShotDataset, k_max: int, seed: int) -> list:
         if total <= 0.0:
             # Every distinct string is already a center.
             break
-        idx = int(rng.choice(len(strings), p=prob / total))
-        centers.append(strings[idx])
+        idx = int(rng.choice(u, p=prob / total))
+        centers.append(BitString.from_bits(bits[idx]))
         d_new = (bits ^ bits[idx]).sum(axis=1, dtype=np.int64)
         np.minimum(d_min, d_new, out=d_min)
 
@@ -345,7 +373,7 @@ def run_em_fixed_k(
     if init.n != dataset.n:
         raise DimensionError(f"init width {init.n} != dataset width {dataset.n}")
     s, n = dataset.s, dataset.n
-    yf = dataset.bit_matrix.astype(np.float64)
+    yf, c = _rows(dataset)
 
     live0 = init.alpha > 0
     xb = _bits_matrix(init.x)[live0]
@@ -358,9 +386,9 @@ def run_em_fixed_k(
     converged = False
     updates = 0
     while True:
-        a = _loglik_matrix(yf, xb, eps) + np.log(alpha)[None, :]
+        a = _log_joint(yf, xb, alpha, eps)
         w, lse = _softmax_rows(a)
-        obj = float(lse.sum())
+        obj = float(c @ lse)
         if config.mml_enabled:
             obj += _mml_penalty(s, n, alpha)
         trace.append((alpha.size, updates, obj))
@@ -371,21 +399,18 @@ def run_em_fixed_k(
             break
         prev = obj
 
+        wc = w * c[:, None]
         if config.mml_enabled:
-            alpha = m_step_alpha(w, n)
+            alpha = m_step_alpha(wc, n)
             live = alpha > 0
             if not live.all():
                 alpha = alpha[live]
                 xb = xb[live]
-                w, _ = _softmax_rows(a[:, live])
+                wc = _softmax_rows(a[:, live])[0] * c[:, None]
         else:
-            alpha = w.sum(axis=0) / s
+            alpha = wc.sum(axis=0) / s
 
-        g = w.T @ yf
-        col = w.sum(axis=0)
-        xb = (2.0 * g - col[:, None] >= 0.0).astype(np.uint8)
-        mism = (g * (1.0 - 2.0 * xb) + col[:, None] * xb).sum(axis=0)
-        eps = np.clip(mism / s, config.eps_clamp_lo, 0.5 - config.eps_clamp_gap)
+        xb, eps = _m_step(yf, wc, s, None, config.eps_clamp_lo, config.eps_clamp_gap)
         updates += 1
 
     model = MixtureModel(

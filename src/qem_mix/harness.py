@@ -44,7 +44,6 @@ __all__ = [
     "run_sweep",
     "aggregate",
     "load_sweep_config",
-    "write_rows_csv",
     "write_summary_json",
 ]
 
@@ -348,14 +347,6 @@ def _csv_cell(value):
 
 def _csv_record(row: SweepRow) -> list:
     return [_csv_cell(getattr(row, name)) for name in ROW_FIELDS]
-
-
-def write_rows_csv(rows: Sequence[SweepRow], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ROW_FIELDS)
-        for row in rows:
-            writer.writerow(_csv_record(row))
 
 
 def aggregate(rows: Sequence[SweepRow]) -> list:

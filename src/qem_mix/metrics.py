@@ -104,11 +104,12 @@ def _check_distribution(dist: Mapping[str, float], name: str) -> None:
 
 def hellinger_fidelity(p: Mapping[str, float], q: Mapping[str, float]) -> float:
     """(sum_i sqrt(p_i * q_i))**2 over the union of supports; 1 for
-    identical distributions, 0 for disjoint ones."""
+    identical distributions, 0 for disjoint ones. The sum runs in sorted
+    key order, so the result does not depend on string hashing."""
     _check_distribution(p, "p")
     _check_distribution(q, "q")
     overlap = sum(
-        math.sqrt(p[key] * q[key]) for key in p.keys() & q.keys()
+        math.sqrt(p[key] * q[key]) for key in sorted(p.keys() & q.keys())
     )
     return overlap * overlap
 

@@ -3,9 +3,13 @@
 Conventions used throughout the package:
 
 * A bit-string of n bits is written most-significant-qubit first, i.e. the
-  leftmost character of ``"1100"`` is bit j=1. Internally bits are packed
-  into a single Python integer, so XOR and popcount run word-wise.
-* A dataset is an ordered, immutable multiset of equal-length bit-strings.
+  leftmost character of ``"1100"`` is bit j=1. A ``BitString`` holds its
+  bits in one Python integer, so XOR and popcount run word-wise.
+* A dataset is an ordered, immutable multiset of equal-length bit-strings,
+  held count-native: its distinct strings as packed uint64 keys in
+  ascending order plus their counts (see ``ShotDataset``). Loading,
+  filtering, EM and saving run on that form; ``BitString`` objects are
+  built only for callers that ask for them.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -91,50 +97,73 @@ def hamming_distance(a: BitString, b: BitString) -> int:
 class ShotDataset:
     """Immutable ordered collection of S equal-length bit-strings.
 
-    Derived views (count table, dense bit matrix) are computed lazily and
-    cached; the object is safe to share across concurrent readers.
+    Held count-native: ``keys`` are the U distinct strings in ascending
+    order, each packed into W = ceil(n/64) uint64 words (word 0 the most
+    significant), and ``key_counts`` their int64 counts. Per-shot order is
+    an index into ``keys``, kept for datasets built from ordered shots
+    (BitStrings, bit matrices, text files and their subsets); a count table
+    expands in key order. The BitString views ``shots``, ``counts``,
+    ``bit_matrix`` and ``distinct_sorted`` are built lazily.
     """
 
     def __init__(self, shots: Iterable[BitString]):
         shots = tuple(shots)
-        if not shots:
-            raise EmptyDatasetError("a dataset must contain at least one shot")
-        n = shots[0].n
+        n = shots[0].n if shots else 1
         for i, s in enumerate(shots):
             if s.n != n:
-                raise DimensionError(
-                    f"shot {i} has {s.n} bits, expected {n}"
-                )
-        self._shots = shots
-        self._n = n
+                raise DimensionError(f"shot {i} has {s.n} bits, expected {n}")
+        self._set(n, *_unique_rows(_pack_texts([s.text for s in shots], n)))
 
-    @property
-    def n(self) -> int:
-        return self._n
+    @classmethod
+    def _make(cls, n, keys, key_counts, order=None) -> "ShotDataset":
+        dataset = cls.__new__(cls)
+        dataset._set(n, keys, key_counts, order)
+        return dataset
 
-    @property
-    def s(self) -> int:
-        return len(self._shots)
+    def _set(self, n, keys, key_counts, order):
+        if not len(key_counts):
+            raise EmptyDatasetError("a dataset must contain at least one shot")
+        for arr in (keys, key_counts, order):
+            if arr is not None:
+                arr.flags.writeable = False
+        self.n, self.s, self.distinct = n, int(key_counts.sum()), len(keys)
+        self.keys, self.key_counts, self._order = keys, key_counts, order
 
-    @property
+    def shot_index(self) -> np.ndarray:
+        """Row of ``keys`` holding each shot, in shot order."""
+        if self._order is not None:
+            return self._order
+        return np.repeat(np.arange(self.distinct), self.key_counts)
+
+    def distinct_bits(self) -> np.ndarray:
+        """U x n uint8 matrix of the distinct strings' bits, in key order."""
+        raw = self.keys.astype(">u8").view(np.uint8)
+        return np.unpackbits(raw, axis=1)[:, raw.shape[1] * 8 - self.n:]
+
+    def _values(self) -> list:
+        values = self.keys[:, 0].tolist()
+        for col in self.keys.T[1:]:
+            values = [(v << 64) | c for v, c in zip(values, col.tolist())]
+        return values
+
+    @cached_property
+    def _strings(self) -> list:
+        return [BitString(self.n, v) for v in self._values()]
+
+    @cached_property
     def shots(self) -> tuple:
-        return self._shots
+        strings = self._strings
+        return tuple(strings[i] for i in self.shot_index().tolist())
 
     @cached_property
     def counts(self) -> dict:
-        """Occurrence count per distinct BitString, first-seen order."""
-        table: dict = {}
-        for s in self._shots:
-            table[s] = table.get(s, 0) + 1
-        return table
+        """Occurrence count per distinct BitString, in ascending order."""
+        return dict(zip(self._strings, self.key_counts.tolist()))
 
     @cached_property
     def bit_matrix(self) -> np.ndarray:
         """Dense S x n uint8 matrix of shot bits (read-only)."""
-        nbytes = (self._n + 7) // 8
-        buf = b"".join(s.value.to_bytes(nbytes, "big") for s in self._shots)
-        raw = np.frombuffer(buf, dtype=np.uint8).reshape(self.s, nbytes)
-        mat = np.unpackbits(raw, axis=1)[:, 8 * nbytes - self._n:]
+        mat = self.distinct_bits()[self.shot_index()]
         mat.flags.writeable = False
         return mat
 
@@ -144,10 +173,7 @@ class ShotDataset:
         Returns (list of BitString, int64 count array); the canonical order
         used wherever determinism must not depend on shot order.
         """
-        items = sorted(self.counts.items(), key=lambda kv: kv[0].value)
-        strings = [bs for bs, _ in items]
-        cnt = np.array([c for _, c in items], dtype=np.int64)
-        return strings, cnt
+        return list(self._strings), self.key_counts.copy()
 
     @classmethod
     def from_bit_matrix(cls, matrix: np.ndarray) -> "ShotDataset":
@@ -155,28 +181,65 @@ class ShotDataset:
         matrix = np.asarray(matrix, dtype=np.uint8)
         if matrix.ndim != 2 or matrix.shape[1] < 1:
             raise DimensionError(f"expected an S x n matrix, got shape {matrix.shape}")
-        s, n = matrix.shape
-        nbytes = (n + 7) // 8
-        padded = np.zeros((s, 8 * nbytes), dtype=np.uint8)
-        padded[:, 8 * nbytes - n:] = matrix
-        packed = np.packbits(padded, axis=1)
-        shots = [
-            BitString(n, int.from_bytes(row.tobytes(), "big")) for row in packed
-        ]
-        return cls(shots)
+        return cls._make(matrix.shape[1], *_unique_rows(_pack_bits(matrix)))
 
     def subset(self, indices: Sequence[int]) -> "ShotDataset":
         """New dataset containing the shots at the given positions, in order."""
-        return ShotDataset(self._shots[i] for i in indices)
+        rows = self.shot_index()[np.asarray(indices, dtype=np.intp)]
+        kept, order = np.unique(rows, return_inverse=True)
+        return ShotDataset._make(self.n, self.keys[kept], np.bincount(order), order)
+
+    def select_distinct(self, mask: np.ndarray) -> "ShotDataset":
+        """New dataset with every shot of the distinct strings where the
+        boolean ``mask`` (aligned with ``keys``) is true, in shot order."""
+        order = self._order
+        if order is not None:
+            order = (np.cumsum(mask) - 1)[order[mask[order]]]
+        return ShotDataset._make(self.n, self.keys[mask], self.key_counts[mask], order)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, ShotDataset) and self._shots == other._shots
+        return (
+            isinstance(other, ShotDataset) and self.n == other.n
+            and np.array_equal(self.keys, other.keys)
+            and np.array_equal(self.key_counts, other.key_counts)
+            and (self._order is None and other._order is None
+                 or np.array_equal(self.shot_index(), other.shot_index()))
+        )
 
     def __hash__(self):
-        return hash(self._shots)
+        return hash((self.n, self.keys.tobytes(), self.key_counts.tobytes()))
 
     def __repr__(self) -> str:
-        return f"ShotDataset(n={self._n}, s={self.s}, distinct={len(self.counts)})"
+        return f"ShotDataset(n={self.n}, s={self.s}, distinct={self.distinct})"
+
+
+def _pack_texts(texts: list, n: int) -> np.ndarray:
+    """len(texts) x W uint64 keys of validated n-character binary strings."""
+    w = -(-n // 64)
+    keys = np.empty((len(texts), w), dtype=np.uint64)
+    for i in range(w):
+        hi = n - 64 * (w - 1 - i)
+        lo = max(0, hi - 64)
+        words = map(int, map(itemgetter(slice(lo, hi)), texts), repeat(2))
+        keys[:, i] = np.fromiter(words, dtype=np.uint64, count=len(texts))
+    return keys
+
+
+def _pack_bits(bits: np.ndarray) -> np.ndarray:
+    """S x W uint64 keys of an S x n {0,1} matrix."""
+    s, n = bits.shape
+    padded = np.zeros((s, n + (-n) % 64), dtype=np.uint8)
+    padded[:, (-n) % 64:] = bits
+    return np.packbits(padded, axis=1).view(">u8").astype(np.uint64)
+
+
+def _unique_rows(keys: np.ndarray) -> tuple:
+    """Distinct rows of ``keys`` in ascending order, their counts, and the
+    distinct row of each input row."""
+    flat = keys[:, 0] if keys.shape[1] == 1 else keys  # 1-D sorts far faster
+    rows, inverse, counts = np.unique(
+        flat, axis=0, return_inverse=True, return_counts=True)
+    return rows.reshape(-1, keys.shape[1]), counts, inverse.reshape(-1)
 
 
 def load_shots_text(path) -> ShotDataset:
@@ -185,7 +248,7 @@ def load_shots_text(path) -> ShotDataset:
     Blank lines are ignored; n is inferred from the first shot. Raises
     ParseError / DimensionError with a 1-based line number on bad content.
     """
-    shots = []
+    texts = []
     n = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -200,17 +263,18 @@ def load_shots_text(path) -> ShotDataset:
                 raise DimensionError(
                     f"{path}:{lineno}: expected {n} bits, got {len(text)}"
                 )
-            shots.append(BitString(len(text), int(text, 2)))
-    if not shots:
+            texts.append(text)
+    if not texts:
         raise EmptyDatasetError(f"{path}: no shots found")
-    return ShotDataset(shots)
+    return ShotDataset._make(n, *_unique_rows(_pack_texts(texts, n)))
 
 
 def load_counts(path) -> ShotDataset:
     """Read a dataset from a JSON count table {bitstring: count}.
 
-    Keys are expanded in lexicographic order so the resulting shot order is
-    deterministic regardless of the file's key order.
+    The table is validated, packed and sorted without expanding the counts,
+    so memory grows with the number of distinct strings, not with S. The
+    shot order is lexicographic regardless of the file's key order.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -221,11 +285,29 @@ def load_counts(path) -> ShotDataset:
         raise ParseError(f"{path}: expected a JSON object of counts")
     if not table:
         raise EmptyDatasetError(f"{path}: empty count table")
+    texts, counts = list(table), list(table.values())
+    n = len(texts[0])
+    joined = "".join(texts)
+    # int(key, 2) would also take "0b1", "1_0", "+1" and " 1": check first
+    if (
+        not n or set(map(len, texts)) != {n}
+        or joined.count("0") + joined.count("1") != len(joined)
+        or set(map(type, counts)) != {int} or min(counts) < 1
+    ):
+        _raise_first_bad(path, table)
+    if sum(counts) >= 1 << 63:
+        raise ParseError(f"{path}: the counts sum past 2**63 - 1")
+    keys = _pack_texts(texts, n)
+    order = np.lexsort(keys.T[::-1])
+    return ShotDataset._make(n, keys[order], np.array(counts, dtype=np.int64)[order])
+
+
+def _raise_first_bad(path, table: dict) -> None:
+    """Raise for the first bad entry of a count table, in key order."""
     n = None
-    shots = []
     for key in sorted(table):
         count = table[key]
-        if not isinstance(key, str) or not key or set(key) - {"0", "1"}:
+        if not key or set(key) - {"0", "1"}:
             raise ParseError(f"{path}: bad bit-string key {key!r}")
         if isinstance(count, bool) or not isinstance(count, int) or count < 1:
             raise ParseError(f"{path}: count for {key!r} must be a positive integer")
@@ -233,12 +315,13 @@ def load_counts(path) -> ShotDataset:
             n = len(key)
         elif len(key) != n:
             raise DimensionError(f"{path}: key {key!r} has {len(key)} bits, expected {n}")
-        shots.extend([BitString(len(key), int(key, 2))] * count)
-    return ShotDataset(shots)
 
 
 def save_counts(dataset: ShotDataset, path) -> None:
     """Write a dataset's count table as JSON, keys sorted lexicographically."""
-    table = {bs.text: c for bs, c in dataset.counts.items()}
-    text = json.dumps(table, sort_keys=True, separators=(",", ":"))
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    width = f"0{dataset.n}b"
+    body = ",".join(
+        f'"{format(v, width)}":{c}'
+        for v, c in zip(dataset._values(), dataset.key_counts.tolist())
+    )
+    Path(path).write_text("{" + body + "}\n", encoding="utf-8")

@@ -4,11 +4,25 @@ checked against, and small random-instance generators."""
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qem_mix
 from qem_mix.shotdata import BitString, ShotDataset
+
+SRC = str(Path(qem_mix.__file__).resolve().parents[1])
+
+
+def run_python(code: str, **env) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this qem_mix."""
+    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1", **env)
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
 
 
 def naive_hamming(a: str, b: str) -> int:

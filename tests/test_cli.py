@@ -60,6 +60,22 @@ class TestExitCodes:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--eta", "nan", "eta"), ("--delta", "nan", "delta"),
+        ("--eta", "-1", "eta"), ("--k-max", "0", "k_max"),
+    ])
+    def test_bad_config_value_exit_1(self, capsys, tmp_path, flag, value, field):
+        data = tmp_path / "shots.txt"
+        data.write_text("0101\n0101\n0111\n")
+        model = tmp_path / "model.json"
+        code, _, err = run(capsys, "mitigate", str(data), "--seed", "1",
+                           "--model-out", str(model), flag, value)
+        assert code == 1
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and field in errors[0]
+        assert "Traceback" not in err
+        assert not model.exists()
+
     def test_all_filtered_exit_3(self, capsys, tmp_path):
         shots = tmp_path / "shots.txt"
         shots.write_text("0000000000\n1111111111\n")

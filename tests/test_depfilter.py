@@ -44,6 +44,18 @@ class TestSupportCounts:
             ds = random_dataset(rng, n, s)
             assert support_counts(ds) == naive_support_counts(ds)
 
+    def test_multi_word_keys_match_brute_force(self, rng):
+        # n > 64 packs each string into several words; plant one-bit
+        # neighbours in every word, next to unrelated strings
+        for n in (65, 128, 130):
+            pool = rng.integers(0, 2, size=(8, n), dtype=np.uint8)
+            bits = pool[rng.integers(0, 8, size=80)]
+            for row, j in zip(range(0, 80, 4), rng.integers(0, n, size=20)):
+                bits[row, j] ^= 1
+            bits[0, 0] ^= 1  # a toggle in the top word
+            ds = ShotDataset.from_bit_matrix(bits)
+            assert support_counts(ds) == naive_support_counts(ds)
+
     def test_radius_r_matches_brute_force(self, rng):
         repeated = False
         for _ in range(25):

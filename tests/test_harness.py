@@ -72,6 +72,30 @@ class TestRunPipeline:
         assert result.report.k_hat == 2
         assert ber(list(truth.solutions), list(result.report.best.x), 64).ber == 0.0
 
+    def test_hot_path_builds_no_per_shot_objects(self, monkeypatch):
+        # filter and EM run on packed keys and counts: no per-shot view is
+        # built, and BitString objects are made only for model centers
+        truth = sample_ground_truth(16, 4, 21)
+        ds = generate_shots(truth, NoiseSpec(p=0.85, eps=np.full(16, 0.05)), 200_000, 22)
+
+        def refuse(self):
+            raise AssertionError("a per-shot view was built")
+
+        for view in ("shots", "counts", "bit_matrix"):
+            monkeypatch.setattr(ShotDataset, view, property(refuse))
+        built = []
+        post_init = BitString.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(BitString, "__post_init__", counting)
+        result = run_pipeline(ds, FilterConfig(eta=1.5, t_floor=2), EmConfig(seed=23))
+        assert not result.filter_fallback
+        assert result.report.k_hat == 4
+        assert len(built) < 2000
+
     def test_skip_filter(self):
         ds = ShotDataset([BitString.from_text("0101")] * 50)
         result = run_pipeline(ds, skip_filter=True, em_config=EmConfig(k_max=2))

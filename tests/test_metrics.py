@@ -1,4 +1,5 @@
 import itertools
+import textwrap
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from qem_mix.metrics import (
 )
 from qem_mix.shotdata import BitString, ShotDataset, hamming_distance
 
-from conftest import random_bitstring
+from conftest import random_bitstring, run_python
 
 B = BitString.from_text
 
@@ -134,6 +135,22 @@ class TestHellingerFidelity:
             f_qp = hellinger_fidelity(q, p)
             assert abs(f_pq - f_qp) < 1e-12
             assert -1e-12 <= f_pq <= 1.0 + 1e-9
+
+    def test_independent_of_string_hashing(self):
+        # 64 shared keys: summed in set order, the last digits of the
+        # result would follow each interpreter's PYTHONHASHSEED
+        code = textwrap.dedent("""
+            import numpy as np
+            from qem_mix.metrics import hellinger_fidelity
+            rng = np.random.default_rng(5)
+            keys = [format(v, "012b") for v in rng.choice(4096, size=64, replace=False)]
+            p, q = rng.random(64), rng.random(64)
+            p, q = dict(zip(keys, p / p.sum())), dict(zip(keys, q / q.sum()))
+            print(repr(hellinger_fidelity(p, q)))
+        """)
+        runs = [run_python(code, PYTHONHASHSEED=seed) for seed in ("0", "2")]
+        assert all(r.returncode == 0 for r in runs), runs[0].stderr
+        assert runs[0].stdout == runs[1].stdout != ""
 
 
 class TestModelDistribution:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from qem_mix.shotdata import (
     save_counts,
 )
 
-from conftest import naive_hamming, random_dataset
+from conftest import naive_hamming, random_dataset, run_python
 
 
 B = BitString.from_text
@@ -170,6 +172,32 @@ class TestCountsIO:
         path.write_text(body)
         with pytest.raises(ParseError):
             load_counts(path)
+
+    def test_huge_count_loads_in_bounded_memory(self, tmp_path):
+        # counts are never expanded shot by shot: 10**12 shots of one
+        # string load and filter under a 2 GB address-space cap
+        path = tmp_path / "huge.json"
+        path.write_text('{"0101": 1000000000000}')
+        code = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "from qem_mix.cli import dispatch\n"
+            "from qem_mix.shotdata import load_counts\n"
+            f"ds = load_counts({str(path)!r})\n"
+            f"code = dispatch(['--quiet', 'filter', {str(path)!r}])\n"
+            "print(ds.s, ds.distinct, code)\n"
+        )
+        run = run_python(code)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == "1000000000000 1 0"
+
+    def test_int_parser_spellings_rejected(self, tmp_path):
+        # int(key, 2) accepts all of these; the loader must not
+        path = tmp_path / "counts.json"
+        for key in ("0b1", "1_0", "+1", " 1", "1 "):
+            path.write_text(json.dumps({key: 1, "0" * len(key): 1}))
+            with pytest.raises(ParseError):
+                load_counts(path)
 
     def test_mismatched_key_width(self, tmp_path):
         path = tmp_path / "counts.json"

@@ -1,8 +1,8 @@
 """qem-mix command line: generate | filter | mitigate | evaluate | sweep.
 
-Exit codes: 0 success, 1 usage error, 2 data/parse error, 3 numerical or
-degenerate-model error. Diagnostics go to stderr; data goes to files or
-stdout.
+Exit codes: 0 success, otherwise the ``exit_code`` of the error that ended
+the command (see ``errors``); usage errors exit 1 and unreadable files 2.
+Diagnostics go to stderr; data goes to files or stdout.
 """
 
 from __future__ import annotations
@@ -16,19 +16,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .depfilter import FilterConfig, filter_dataset
+from .depfilter import FilterConfig, check_threshold, filter_dataset
 from .emcore import EmConfig, load_model, save_model
-from .errors import (
-    AllFilteredError,
-    DegenerateModelError,
-    DimensionError,
-    EmptyDatasetError,
-    InfeasibleError,
-    InvalidModelError,
-    NormalizationError,
-    ParseError,
-)
-from .harness import load_sweep_config, run_pipeline, run_sweep
+from .errors import QemError
+from .harness import NoiseGrid, load_sweep_config, run_pipeline, run_sweep
 from .metrics import ber, hellinger_fidelity, model_to_distribution
 from .shotdata import ShotDataset, load_counts, load_shots_text, save_counts
 from .synth import (
@@ -47,7 +38,7 @@ _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
 
 
 class _UsageError(Exception):
-    pass
+    exit_code = 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,72 +65,70 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", metavar="<command>")
 
-    p = sub.add_parser(
-        "generate", help="sample a synthetic noisy dataset plus ground-truth sidecar",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
+    def command(name, summary, func, parents=()):
+        p = sub.add_parser(name, help=summary, parents=parents,
+                           formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        p.set_defaults(func=func)
+        return p
+
+    # input and threshold flags shared by filter and mitigate
+    filtering = argparse.ArgumentParser(add_help=False)
+    filtering.add_argument("input", help="dataset path (counts JSON or shots text)")
+    filtering.add_argument("--eta", type=float, default=FilterConfig.eta,
+                           help="filter threshold multiplier")
+    filtering.add_argument("--t-floor", type=int, default=FilterConfig.t_floor,
+                           help="filter minimum absolute threshold")
+    filtering.add_argument("--threshold", type=float, default=None,
+                           help="absolute filter threshold (skips the eta formula)")
+
+    p = command("generate", "sample a synthetic noisy dataset plus ground-truth sidecar",
+                _cmd_generate)
     p.add_argument("--n", type=int, required=True, help="qubit count")
     p.add_argument("--k", type=int, required=True, help="number of true solutions")
     p.add_argument("--s", type=int, required=True, help="shot count")
     p.add_argument("--p", type=float, default=0.9, help="depolarized fraction")
-    p.add_argument("--eps-low", type=float, default=0.05, help="flip probability lower bound")
-    p.add_argument("--eps-high", type=float, default=0.15, help="flip probability upper bound")
+    p.add_argument("--eps-low", type=float, default=NoiseGrid.eps_low,
+                   help="flip probability lower bound")
+    p.add_argument("--eps-high", type=float, default=NoiseGrid.eps_high,
+                   help="flip probability upper bound")
     p.add_argument("--seed", type=int, default=None, help="seed for this run")
     p.add_argument("--depth-label", default=None, help="free-form metadata, no model effect")
     p.add_argument("--out", required=True, help="output counts JSON path")
     p.add_argument("--truth-out", default=None,
                    help="ground-truth sidecar path (default: <out>.truth.json)")
-    p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser(
-        "filter", help="remove shots consistent with uniform depolarizing noise",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
-    p.add_argument("input", help="dataset path (counts JSON or shots text)")
+    p = command("filter", "remove shots consistent with uniform depolarizing noise",
+                _cmd_filter, [filtering])
     p.add_argument("--out", default=None, help="write kept shots as counts JSON")
-    p.add_argument("--eta", type=float, default=1.5, help="threshold multiplier")
-    p.add_argument("--t-floor", type=int, default=2, help="minimum absolute threshold")
-    p.add_argument("--threshold", type=float, default=None,
-                   help="absolute threshold override (skips the eta formula)")
-    p.set_defaults(func=_cmd_filter)
 
-    p = sub.add_parser(
-        "mitigate", help="filter then run the EM sweep; writes a model file",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
-    p.add_argument("input", help="dataset path (counts JSON or shots text)")
+    p = command("mitigate", "filter then run the EM sweep; writes a model file",
+                _cmd_mitigate, [filtering])
     p.add_argument("--model-out", default=None,
                    help="model JSON path (default: <input>.model.json)")
-    p.add_argument("--eta", type=float, default=1.5, help="filter threshold multiplier")
-    p.add_argument("--t-floor", type=int, default=2, help="filter minimum threshold")
-    p.add_argument("--threshold", type=float, default=None, help="absolute filter threshold")
     p.add_argument("--skip-filter", action="store_true", help="run EM on the raw dataset")
-    p.add_argument("--k-min", type=int, default=1, help="smallest component count to try")
-    p.add_argument("--k-max", type=int, default=16, help="starting component count")
-    p.add_argument("--delta", type=float, default=1e-5, help="relative convergence threshold")
-    p.add_argument("--max-iters", type=int, default=500, help="iteration cap per K level")
-    p.add_argument("--eps-init", type=float, default=0.25, help="initial flip probability")
+    p.add_argument("--k-min", type=int, default=EmConfig.k_min,
+                   help="smallest component count to try")
+    p.add_argument("--k-max", type=int, default=EmConfig.k_max,
+                   help="starting component count")
+    p.add_argument("--delta", type=float, default=EmConfig.delta,
+                   help="relative convergence threshold")
+    p.add_argument("--max-iters", type=int, default=EmConfig.max_iters,
+                   help="iteration cap per K level")
+    p.add_argument("--eps-init", type=float, default=EmConfig.eps_init,
+                   help="initial flip probability")
     p.add_argument("--no-mml", action="store_true",
                    help="plain EM mode: no coding penalty, no annihilation")
     p.add_argument("--seed", type=int, default=None, help="seed for this run")
-    p.set_defaults(func=_cmd_mitigate)
 
-    p = sub.add_parser(
-        "evaluate", help="score a model file against a ground-truth sidecar",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
+    p = command("evaluate", "score a model file against a ground-truth sidecar",
+                _cmd_evaluate)
     p.add_argument("--model", required=True, help="model JSON from mitigate")
     p.add_argument("--truth", required=True, help="ground-truth sidecar from generate")
-    p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser(
-        "sweep", help="run a parameter-grid experiment from a JSON config",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
+    p = command("sweep", "run a parameter-grid experiment from a JSON config", _cmd_sweep)
     p.add_argument("--config", required=True, help="sweep config JSON")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
-    p.set_defaults(func=_cmd_sweep)
 
     return parser
 
@@ -156,9 +145,9 @@ def _effective_seed(args, sub_seed) -> int:
 
 def _load_dataset(path) -> ShotDataset:
     """Counts JSON if the file starts with '{', shots text otherwise."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         head = fh.read(1)
-    if head == "{":
+    if head == b"{":
         return load_counts(path)
     return load_shots_text(path)
 
@@ -171,9 +160,9 @@ def _cmd_generate(args) -> int:
         int(v) for v in np.random.SeedSequence(seed).generate_state(3)
     )
     truth = sample_ground_truth(args.n, args.k, truth_seed)
-    eps = sample_flip_probabilities(args.n, eps_seed, args.eps_low, args.eps_high)
-    noise = NoiseSpec(p=args.p, eps=eps, depth_label=args.depth_label)
-    dataset = generate_shots(truth, noise, args.s, shots_seed)
+    eps = _checked(sample_flip_probabilities, args.n, eps_seed, args.eps_low, args.eps_high)
+    noise = _checked(NoiseSpec, p=args.p, eps=eps, depth_label=args.depth_label)
+    dataset = _checked(generate_shots, truth, noise, args.s, shots_seed)
     save_counts(dataset, args.out)
     truth_out = args.truth_out or f"{args.out}.truth.json"
     save_ground_truth(truth, noise, truth_out, seed=seed)
@@ -182,16 +171,23 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _config(factory, **values):
-    """A config object; a value it rejects is a usage error."""
+def _checked(func, *args, **kwargs):
+    """func(*args, **kwargs); a value it rejects with ValueError is a usage
+    error."""
     try:
-        return factory(**values)
+        return func(*args, **kwargs)
     except ValueError as exc:
         raise _UsageError(exc) from exc
 
 
+def _filter_config(args) -> FilterConfig:
+    """The filter flags' config, checked before any data is read."""
+    _checked(check_threshold, args.threshold)
+    return _checked(FilterConfig, eta=args.eta, t_floor=args.t_floor)
+
+
 def _cmd_filter(args) -> int:
-    config = _config(FilterConfig, eta=args.eta, t_floor=args.t_floor)
+    config = _filter_config(args)
     dataset = _load_dataset(args.input)
     report = filter_dataset(dataset, config, threshold=args.threshold)
     if args.out:
@@ -215,8 +211,8 @@ def _cmd_filter(args) -> int:
 
 def _cmd_mitigate(args) -> int:
     seed = _effective_seed(args, args.seed)
-    filter_config = _config(FilterConfig, eta=args.eta, t_floor=args.t_floor)
-    em_config = _config(
+    filter_config = _filter_config(args)
+    em_config = _checked(
         EmConfig, k_min=args.k_min, k_max=args.k_max, delta=args.delta,
         max_iters=args.max_iters, seed=seed, eps_init=args.eps_init,
         mml_enabled=not args.no_mml,
@@ -305,7 +301,7 @@ def dispatch(argv) -> int:
         args = parser.parse_args(argv)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
-        return 1
+        return exc.exit_code
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
 
@@ -321,18 +317,9 @@ def dispatch(argv) -> int:
 
     try:
         return int(args.func(args) or 0)
-    except (InfeasibleError, _UsageError) as exc:
+    except (QemError, _UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ParseError, EmptyDatasetError, DimensionError, NormalizationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (AllFilteredError, DegenerateModelError, InvalidModelError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return getattr(exc, "exit_code", 2)  # an unreadable file (OSError) exits 2
 
 
 def main() -> None:

@@ -41,6 +41,7 @@ __all__ = [
     "support_counts",
     "compute_threshold",
     "select_radius",
+    "check_threshold",
     "filter_dataset",
 ]
 
@@ -256,6 +257,13 @@ def select_radius(s: int, n: int, config: Optional[FilterConfig] = None) -> int:
     return n
 
 
+def check_threshold(threshold: Optional[float]) -> None:
+    """Raise ValueError unless ``threshold`` is None or finite: a NaN or
+    infinite T would keep no shot, or every shot, whatever the data."""
+    if threshold is not None and not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
+
+
 def filter_dataset(
     dataset: ShotDataset,
     config: Optional[FilterConfig] = None,
@@ -271,9 +279,10 @@ def filter_dataset(
     Shot order and multiplicity are preserved. Pass ``threshold`` to reuse
     an absolute T (e.g. a previous report's threshold_used) at radius 1:
     re-deriving T from the smaller filtered S would silently shift the
-    criterion. Raises AllFilteredError, naming the radius tried, when no
-    shot survives.
+    criterion. Raises ValueError for a non-finite ``threshold`` and
+    AllFilteredError, naming the radius tried, when no shot survives.
     """
+    check_threshold(threshold)
     config = config or FilterConfig()
     s, n = dataset.s, dataset.n
     lam = math.ldexp(s, -n)

@@ -27,13 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    DegenerateModelError,
-    DimensionError,
-    InvalidModelError,
-    ParseError,
-)
-from .shotdata import BitString, ShotDataset
+from .errors import DegenerateModelError, DimensionError, InvalidModelError
+from .shotdata import BitString, ShotDataset, _parse_fields, _read_json_object
 
 __all__ = [
     "MixtureModel",
@@ -53,6 +48,10 @@ __all__ = [
     "save_model",
     "load_model",
 ]
+
+# Flip probabilities are kept in [_EPS_CLAMP, 0.5 - _EPS_CLAMP] so the
+# log-space kernels stay finite.
+_EPS_CLAMP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -107,12 +106,10 @@ class EmConfig:
     max_iters: int = 500
     seed: int = 0
     eps_init: float = 0.25
-    eps_clamp_lo: float = 1e-6
-    eps_clamp_gap: float = 1e-6
     mml_enabled: bool = True
 
     def __post_init__(self):
-        for name in ("delta", "eps_init", "eps_clamp_lo", "eps_clamp_gap"):
+        for name in ("delta", "eps_init"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 1 <= self.k_min <= self.k_max:
@@ -123,10 +120,6 @@ class EmConfig:
             raise ValueError("max_iters must be >= 1")
         if not 0.0 < self.eps_init < 0.5:
             raise ValueError("eps_init must lie in (0, 0.5)")
-        if self.eps_clamp_lo <= 0 or self.eps_clamp_gap <= 0:
-            raise ValueError("eps clamps must be positive")
-        if self.eps_clamp_lo >= 0.5 - self.eps_clamp_gap:
-            raise ValueError("eps clamp window is empty")
 
 
 @dataclass(frozen=True)
@@ -276,7 +269,7 @@ def m_step_alpha(w: np.ndarray, n: int) -> np.ndarray:
     return num / total
 
 
-def _m_step(yf, wc, s, xb=None, clamp_lo=1e-6, clamp_gap=1e-6):
+def _m_step(yf, wc, s, xb=None):
     """Centers and flip probabilities from count-weighted responsibilities
     ``wc`` over the distinct rows ``yf``. Centers are the per-bit weighted
     majority vote (exact ties resolve to bit 1) unless ``xb`` is given; eps
@@ -285,7 +278,7 @@ def _m_step(yf, wc, s, xb=None, clamp_lo=1e-6, clamp_gap=1e-6):
     if xb is None:
         xb = (2.0 * g - col[:, None] >= 0.0).astype(np.uint8)
     mism = (g * (1.0 - 2.0 * xb) + col[:, None] * xb).sum(axis=0)
-    return xb, np.clip(mism / s, clamp_lo, 0.5 - clamp_gap)
+    return xb, np.clip(mism / s, _EPS_CLAMP, 0.5 - _EPS_CLAMP)
 
 
 def _fold(dataset: ShotDataset, w: np.ndarray) -> np.ndarray:
@@ -301,17 +294,11 @@ def m_step_x(dataset: ShotDataset, w: np.ndarray) -> list:
     return [BitString.from_bits(row) for row in bits]
 
 
-def m_step_eps(
-    dataset: ShotDataset,
-    w: np.ndarray,
-    x_new,
-    clamp_lo: float = 1e-6,
-    clamp_gap: float = 1e-6,
-) -> np.ndarray:
+def m_step_eps(dataset: ShotDataset, w: np.ndarray, x_new) -> np.ndarray:
     """Responsibility-weighted mismatch fraction per bit, clamped away from
     0 and 0.5 to keep the log-space kernels finite."""
     yf, wc = _rows(dataset)[0], _fold(dataset, w)
-    return _m_step(yf, wc, dataset.s, _bits_matrix(x_new), clamp_lo, clamp_gap)[1]
+    return _m_step(yf, wc, dataset.s, _bits_matrix(x_new))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +397,7 @@ def run_em_fixed_k(
         else:
             alpha = wc.sum(axis=0) / s
 
-        xb, eps = _m_step(yf, wc, s, None, config.eps_clamp_lo, config.eps_clamp_gap)
+        xb, eps = _m_step(yf, wc, s)
         updates += 1
 
     model = MixtureModel(
@@ -441,7 +428,7 @@ def run_em(dataset: ShotDataset, config: Optional[EmConfig] = None) -> EmReport:
     config = config or EmConfig()
     n = dataset.n
     centers = kmeanspp_init(dataset, config.k_max, config.seed)
-    eps0 = min(max(config.eps_init, config.eps_clamp_lo), 0.5 - config.eps_clamp_gap)
+    eps0 = min(max(config.eps_init, _EPS_CLAMP), 0.5 - _EPS_CLAMP)
     model = MixtureModel(
         tuple(centers),
         np.full(config.k_max, 1.0 / config.k_max),
@@ -522,16 +509,11 @@ def save_model(report: EmReport, path, meta: Optional[dict] = None) -> None:
 
 def load_model(path):
     """Read a model file; returns (MixtureModel, full document dict)."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    try:
+    doc = _read_json_object(path)
+    with _parse_fields(path):
         model = MixtureModel(
             tuple(BitString.from_text(t) for t in doc["solutions"]),
             np.asarray(doc["alpha"], dtype=np.float64),
             np.asarray(doc["eps"], dtype=np.float64),
         )
-    except KeyError as exc:
-        raise ParseError(f"{path}: missing field {exc}") from exc
     return model, doc

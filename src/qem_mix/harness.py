@@ -16,7 +16,8 @@ import json
 import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from contextlib import ExitStack
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -24,12 +25,13 @@ import numpy as np
 
 from .depfilter import FilterConfig, FilterReport, filter_dataset
 from .emcore import EmConfig, EmReport, run_em
-from .errors import AllFilteredError, ParseError
+from .errors import AllFilteredError
 from .metrics import ber, hellinger_fidelity, model_to_distribution
-from .shotdata import ShotDataset
+from .shotdata import ShotDataset, _parse_fields, _read_json_object
 from .synth import (
     GroundTruth,
     NoiseSpec,
+    check_noise,
     generate_shots,
     sample_flip_probabilities,
     sample_ground_truth,
@@ -49,11 +51,6 @@ __all__ = [
 
 log = logging.getLogger("qem_mix.harness")
 
-ROW_FIELDS = [
-    "n", "k_true", "s_full", "s_used", "p", "eps_low", "eps_high", "repeat",
-    "k_hat", "ber", "k_error_flag", "hellinger", "filter_kept_fraction",
-    "filter_fallback", "iterations", "status",
-]
 TIMING_FIELDS = ["n", "k_true", "s_full", "s_used", "p", "repeat", "runtime_ms"]
 
 
@@ -65,6 +62,9 @@ class NoiseGrid:
     p: float
     eps_low: float = 0.05
     eps_high: float = 0.15
+
+    def __post_init__(self):
+        check_noise(self.eps_low, self.eps_high, self.p)
 
 
 @dataclass(frozen=True)
@@ -120,6 +120,10 @@ class SweepRow:
     iterations: Optional[int]
     runtime_ms: float
     status: str
+
+
+# rows.csv columns: every row field but the wall-clock one, in field order
+ROW_FIELDS = [f.name for f in fields(SweepRow) if f.name != "runtime_ms"]
 
 
 @dataclass(frozen=True)
@@ -198,11 +202,20 @@ def _run_repeat(task) -> list:
     )
     em_config = replace(config.em, seed=em_seed)
 
-    rows = []
     base = dict(
         n=n, k_true=k, s_full=s, p=noise_grid.p,
         eps_low=noise_grid.eps_low, eps_high=noise_grid.eps_high, repeat=repeat,
     )
+    # subsample points are sorted, so dropping those past S keeps the
+    # index each one derives its seed from
+    points = [point for point in config.subsample_points or (s,) if point <= s]
+
+    def failed(point, status, runtime_ms=0.0):
+        return SweepRow(
+            **base, s_used=point, k_hat=None, ber=None, k_error_flag=None,
+            hellinger=None, filter_kept_fraction=None, filter_fallback=False,
+            iterations=None, runtime_ms=runtime_ms, status=status,
+        )
 
     try:
         truth = sample_ground_truth(n, k, truth_seed)
@@ -212,20 +225,10 @@ def _run_repeat(task) -> list:
         noise = NoiseSpec(p=noise_grid.p, eps=eps)
         full = generate_shots(truth, noise, s, shots_seed)
     except Exception as exc:  # noqa: BLE001 - recorded, sweep must go on
-        points = config.subsample_points or (s,)
-        return [
-            SweepRow(
-                **base, s_used=point, k_hat=None, ber=None, k_error_flag=None,
-                hellinger=None, filter_kept_fraction=None, filter_fallback=False,
-                iterations=None, runtime_ms=0.0, status=f"generate: {exc}",
-            )
-            for point in points if point <= s
-        ]
+        return [failed(point, f"generate: {exc}") for point in points]
 
-    points = config.subsample_points or (s,)
+    rows = []
     for point_idx, point in enumerate(points):
-        if point > s:
-            continue
         if point == s:
             dataset = full
         else:
@@ -259,11 +262,7 @@ def _run_repeat(task) -> list:
             ))
         except Exception as exc:  # noqa: BLE001
             runtime_ms = (time.perf_counter() - start) * 1000.0
-            rows.append(SweepRow(
-                **base, s_used=point, k_hat=None, ber=None, k_error_flag=None,
-                hellinger=None, filter_kept_fraction=None, filter_fallback=False,
-                iterations=None, runtime_ms=runtime_ms, status=f"{type(exc).__name__}: {exc}",
-            ))
+            rows.append(failed(point, f"{type(exc).__name__}: {exc}", runtime_ms))
     return rows
 
 
@@ -288,53 +287,41 @@ def run_sweep(config: SweepConfig, jobs: int = 1, out_dir=None) -> list:
     points = len(config.subsample_points) if config.subsample_points else 1
     log.info("sweep: %d tasks x %d shot counts, jobs=%d", len(tasks), points, jobs)
 
-    writers = _RowWriters(out_dir) if out_dir is not None else None
     rows: list = []
-    try:
-        if jobs <= 1:
-            results = map(_run_repeat, tasks)
-            for chunk in results:
-                rows.extend(chunk)
-                if writers:
-                    writers.write(chunk)
-        else:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for chunk in pool.map(_run_repeat, tasks, chunksize=1):
-                    rows.extend(chunk)
-                    if writers:
-                        writers.write(chunk)
-    finally:
-        if writers:
-            writers.close()
+    with ExitStack() as stack:
+        write = _row_writer(out_dir, stack) if out_dir is not None else None
+        run = map
+        if jobs > 1:
+            run = stack.enter_context(ProcessPoolExecutor(max_workers=jobs)).map
+        for chunk in run(_run_repeat, tasks):
+            rows.extend(chunk)
+            if write:
+                write(chunk)
     if out_dir is not None:
         write_summary_json(aggregate(rows), Path(out_dir) / "summary.json")
     return rows
 
 
-class _RowWriters:
-    """Streams rows.csv (deterministic columns) and timings.csv."""
+def _row_writer(out_dir, stack: ExitStack):
+    """Open rows.csv (deterministic columns) and timings.csv on ``stack``;
+    returns a function that streams a chunk of rows into both."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    rows_csv, timings_csv = (
+        csv.writer(stack.enter_context(open(out / name, "w", newline="", encoding="utf-8")))
+        for name in ("rows.csv", "timings.csv")
+    )
+    rows_csv.writerow(ROW_FIELDS)
+    timings_csv.writerow(TIMING_FIELDS)
 
-    def __init__(self, out_dir):
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        self._rows_fh = open(out / "rows.csv", "w", newline="", encoding="utf-8")
-        self._timing_fh = open(out / "timings.csv", "w", newline="", encoding="utf-8")
-        self._rows = csv.writer(self._rows_fh)
-        self._timings = csv.writer(self._timing_fh)
-        self._rows.writerow(ROW_FIELDS)
-        self._timings.writerow(TIMING_FIELDS)
-
-    def write(self, chunk):
+    def write(chunk):
         for row in chunk:
-            self._rows.writerow(_csv_record(row))
-            self._timings.writerow([
+            rows_csv.writerow(_csv_record(row))
+            timings_csv.writerow([
                 row.n, row.k_true, row.s_full, row.s_used, row.p, row.repeat,
                 f"{row.runtime_ms:.3f}",
             ])
-
-    def close(self):
-        self._rows_fh.close()
-        self._timing_fh.close()
+    return write
 
 
 def _csv_cell(value):
@@ -351,8 +338,8 @@ def _csv_record(row: SweepRow) -> list:
 
 def aggregate(rows: Sequence[SweepRow]) -> list:
     """Per-cell summary: P_Kerror over completed runs, mean BER over the
-    runs with correctly estimated K, mean runtime. Cells are ordered by
-    their key for deterministic output."""
+    runs with correctly estimated K. Cells are ordered by their key for
+    deterministic output; no wall-clock field enters it."""
     if not rows:
         raise ValueError("nothing to aggregate")
     cells: dict = {}
@@ -382,23 +369,16 @@ def aggregate(rows: Sequence[SweepRow]) -> list:
             "mean_kept_fraction": (
                 sum(r.filter_kept_fraction for r in ok) / len(ok) if ok else None
             ),
-            "mean_runtime_ms": (
-                sum(r.runtime_ms for r in group) / len(group)
-            ),
         }
         table.append(entry)
     return table
 
 
 def write_summary_json(table: list, path) -> None:
-    """Summary without timing fields, so re-runs are byte-identical."""
-    cleaned = [
-        {k: v for k, v in entry.items() if not k.endswith("_ms")}
-        for entry in table
-    ]
-    overall_rows = [e for e in cleaned if e["p_k_error"] is not None]
+    """Write the ``aggregate`` table plus the overall P_Kerror as JSON."""
+    overall_rows = [e for e in table if e["p_k_error"] is not None]
     doc = {
-        "cells": cleaned,
+        "cells": table,
         "overall_p_k_error": (
             sum(e["p_k_error"] * (e["runs"] - e["failed"]) for e in overall_rows)
             / sum(e["runs"] - e["failed"] for e in overall_rows)
@@ -412,37 +392,27 @@ def write_summary_json(table: list, path) -> None:
 
 def load_sweep_config(path) -> SweepConfig:
     """Read a sweep description from JSON."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: expected a JSON object")
-    try:
+    doc = _read_json_object(path)
+    with _parse_fields(path):
         noise = tuple(
             NoiseGrid(
                 p=float(entry["p"]),
-                eps_low=float(entry.get("eps_low", 0.05)),
-                eps_high=float(entry.get("eps_high", 0.15)),
+                eps_low=float(entry.get("eps_low", NoiseGrid.eps_low)),
+                eps_high=float(entry.get("eps_high", NoiseGrid.eps_high)),
             )
             for entry in doc["noise"]
         )
-        config = SweepConfig(
+        return SweepConfig(
             n_values=tuple(int(v) for v in doc["n_values"]),
             k_values=tuple(int(v) for v in doc["k_values"]),
             s_values=tuple(int(v) for v in doc["s_values"]),
             noise=noise,
-            repeats=int(doc.get("repeats", 20)),
+            repeats=int(doc.get("repeats", SweepConfig.repeats)),
             subsample_points=(
                 tuple(int(v) for v in doc["subsample_points"])
                 if doc.get("subsample_points") else None
             ),
-            master_seed=int(doc.get("master_seed", 0)),
+            master_seed=int(doc.get("master_seed", SweepConfig.master_seed)),
             filter=FilterConfig(**doc.get("filter", {})),
             em=EmConfig(**doc.get("em", {})),
         )
-    except KeyError as exc:
-        raise ParseError(f"{path}: missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    return config

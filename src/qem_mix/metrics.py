@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from .errors import DimensionError, NormalizationError
 from .shotdata import BitString, ShotDataset, hamming_distance
@@ -26,8 +26,7 @@ class EvalResult:
     """BER with its matching, plus the K-estimation verdict.
 
     matching holds (true index, estimated index, Hamming distance) triples
-    for the greedily matched pairs; hellinger is filled in only when a
-    fidelity comparison was requested.
+    for the greedily matched pairs.
     """
 
     ber: float
@@ -35,7 +34,6 @@ class EvalResult:
     k_hat: int
     k_correct: bool
     matching: tuple
-    hellinger: Optional[float] = None
 
 
 def ber(truth: Sequence[BitString], estimate: Sequence[BitString], n: int) -> EvalResult:

@@ -15,6 +15,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -250,7 +251,8 @@ def load_shots_text(path) -> ShotDataset:
     """
     texts = []
     n = None
-    with open(path, "r", encoding="utf-8") as fh:
+    # undecodable bytes read as U+FFFD, which the binary check rejects
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text:
@@ -276,13 +278,7 @@ def load_counts(path) -> ShotDataset:
     so memory grows with the number of distinct strings, not with S. The
     shot order is lexicographic regardless of the file's key order.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            table = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(table, dict):
-        raise ParseError(f"{path}: expected a JSON object of counts")
+    table = _read_json_object(path)
     if not table:
         raise EmptyDatasetError(f"{path}: empty count table")
     texts, counts = list(table), list(table.values())
@@ -315,6 +311,31 @@ def _raise_first_bad(path, table: dict) -> None:
             n = len(key)
         elif len(key) != n:
             raise DimensionError(f"{path}: key {key!r} has {len(key)} bits, expected {n}")
+
+
+def _read_json_object(path) -> dict:
+    """The top-level JSON object of a UTF-8 file. Undecodable bytes, invalid
+    or too deeply nested JSON, and any other top level are a ParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)  # one decoded copy of the file at a time
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: expected a JSON object")
+    return doc
+
+
+@contextmanager
+def _parse_fields(path):
+    """Read a document's fields inside this block: a missing field or a
+    value of the wrong type or form is a ParseError naming ``path``."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ParseError(f"{path}: missing field {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def save_counts(dataset: ShotDataset, path) -> None:

@@ -20,18 +20,29 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionError, InfeasibleError, ParseError
-from .shotdata import BitString, ShotDataset
+from .errors import DimensionError, InfeasibleError
+from .shotdata import BitString, ShotDataset, _parse_fields, _read_json_object
 
 __all__ = [
     "NoiseSpec",
     "GroundTruth",
+    "check_noise",
     "sample_ground_truth",
     "sample_flip_probabilities",
     "generate_shots",
     "save_ground_truth",
     "load_ground_truth",
 ]
+
+
+def check_noise(eps_low: float, eps_high: float, p: float = 0.0) -> None:
+    """Raise ValueError unless 0 <= eps_low <= eps_high < 0.5 and p lies in
+    [0, 1]; NaN fails both."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"depolarizing probability must be in [0,1], got {p}")
+    if not 0.0 <= eps_low <= eps_high < 0.5:
+        raise ValueError(
+            f"flip probabilities need 0 <= low <= high < 0.5, got [{eps_low}, {eps_high}]")
 
 
 @dataclass(frozen=True)
@@ -48,12 +59,9 @@ class NoiseSpec:
     def __post_init__(self):
         eps = np.asarray(self.eps, dtype=np.float64)
         object.__setattr__(self, "eps", eps)
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"depolarizing probability must be in [0,1], got {self.p}")
         if eps.ndim != 1 or eps.size < 1:
             raise DimensionError("eps must be a 1-D vector with one entry per bit")
-        if np.any(eps < 0.0) or np.any(eps >= 0.5):
-            raise ValueError("flip probabilities must satisfy 0 <= eps_j < 0.5")
+        check_noise(eps.min(), eps.max(), self.p)
 
     @property
     def n(self) -> int:
@@ -125,8 +133,7 @@ def sample_flip_probabilities(
     n: int, rng_seed: int, low: float = 0.05, high: float = 0.15
 ) -> np.ndarray:
     """Per-bit flip probabilities drawn independently uniform on [low, high]."""
-    if not 0.0 <= low <= high < 0.5:
-        raise ValueError(f"need 0 <= low <= high < 0.5, got [{low}, {high}]")
+    check_noise(low, high)
     rng = np.random.default_rng(rng_seed)
     return rng.uniform(low, high, size=n)
 
@@ -180,11 +187,8 @@ def save_ground_truth(truth: GroundTruth, noise: NoiseSpec, path, seed=None) -> 
 
 def load_ground_truth(path):
     """Read a ground-truth sidecar; returns (GroundTruth, NoiseSpec)."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    try:
+    doc = _read_json_object(path)
+    with _parse_fields(path):
         truth = GroundTruth(
             tuple(BitString.from_text(t) for t in doc["solutions"]),
             np.asarray(doc["weights"], dtype=np.float64),
@@ -194,6 +198,4 @@ def load_ground_truth(path):
             eps=np.asarray(doc["eps"], dtype=np.float64),
             depth_label=doc.get("depth_label"),
         )
-    except KeyError as exc:
-        raise ParseError(f"{path}: missing field {exc}") from exc
     return truth, noise

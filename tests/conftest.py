@@ -11,11 +11,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import qem_mix
 from qem_mix.shotdata import BitString, ShotDataset
 
 SRC = str(Path(qem_mix.__file__).resolve().parents[1])
+
+# Property tests draw the same examples on every run and keep no example
+# database; a slow example on a busy machine is not a failure.
+settings.register_profile("qem-mix", derandomize=True, deadline=None, database=None)
+settings.load_profile("qem-mix")
 
 
 def run_python(code: str, **env) -> subprocess.CompletedProcess:

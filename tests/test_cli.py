@@ -85,6 +85,99 @@ class TestExitCodes:
         assert "radius 3" in err  # the two strings are 10 apart
 
 
+    @pytest.mark.parametrize("command", ["filter", "mitigate"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_threshold_exit_1_before_load(self, capsys, tmp_path, command, value):
+        # the input does not exist: the flag must be rejected before any read
+        model = tmp_path / "model.json"
+        code, _, err = run(capsys, command, str(tmp_path / "missing.txt"),
+                           "--threshold", value, *(
+                               ["--model-out", str(model)] if command == "mitigate" else []))
+        assert code == 1
+        assert err.splitlines() == [f"error: threshold must be finite, got {value}"]
+        assert not model.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--p", "2"], ["--p", "nan"], ["--eps-low", "0.6", "--eps-high", "0.7"], ["--s", "0"],
+    ], ids=["p-2", "p-nan", "eps-interval", "s-0"])
+    def test_bad_noise_value_exit_1(self, capsys, tmp_path, monkeypatch, flags):
+        from qem_mix import cli, synth
+
+        draws = []
+
+        def counted(*args):
+            draws.append(args)
+            return synth.generate_shots(*args)
+        monkeypatch.setattr(cli, "generate_shots", counted)
+        out = tmp_path / "x.json"
+        code, _, err = run(capsys, "--quiet", "generate", "--n", "4", "--k", "2", "--s", "10",
+                           "--seed", "1", "--out", str(out), *flags)
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert not out.exists()
+        # only a bad shot count reaches the sampler, which rejects it first
+        assert len(draws) == (flags[0] == "--s")
+
+
+DEEP = ("[" * 200_000 + "]" * 200_000).encode()
+GOOD_MODEL = {"solutions": ["01"], "alpha": [1.0], "eps": [0.1, 0.1]}
+GOOD_TRUTH = {"solutions": ["01"], "weights": [1.0], "p": 0.5, "eps": [0.1, 0.1]}
+
+
+def _write(path, doc) -> str:
+    path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
+    return str(path)
+
+
+class TestMalformedFiles:
+    """Each malformed input ends with one error line naming it, exit 2."""
+
+    def _expect_exit_2(self, capsys, *argv, name):
+        code, _, err = run(capsys, "--quiet", *argv)
+        assert code == 2
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert name in err
+
+    @pytest.mark.parametrize("name,body", [
+        ("counts.json", b'{"01\xff": 3}'),
+        ("counts.json", b'{"01": 1, "10": 2, "x": "\xc3\x28"}'),
+        ("shots.txt", b"0101\n01\xff1\n"),
+        ("shots.txt", b"\xff0101\n"),
+        ("counts.json", b'{"a": ' + DEEP + b"}"),
+    ], ids=["counts-key-not-utf8", "counts-value-not-utf8", "shots-not-utf8",
+            "shots-first-byte-not-utf8", "counts-nested-deep"])
+    def test_dataset_file(self, capsys, tmp_path, name, body):
+        path = _write(tmp_path / name, body)
+        self._expect_exit_2(capsys, "filter", path, name=name)
+
+    @pytest.mark.parametrize("doc", [
+        json.dumps(GOOD_MODEL).encode()[:-1] + b', "x": "\xff"}',
+        DEEP, [GOOD_MODEL], dict(GOOD_MODEL, solutions=[1]), dict(GOOD_MODEL, alpha=["x"]),
+    ], ids=["not-utf8", "nested-deep", "list", "solution-not-text", "alpha-not-number"])
+    def test_model_file(self, capsys, tmp_path, doc):
+        model = _write(tmp_path / "model.json", doc)
+        truth = _write(tmp_path / "truth.json", GOOD_TRUTH)
+        self._expect_exit_2(capsys, "evaluate", "--model", model, "--truth", truth,
+                            name="model.json")
+
+    @pytest.mark.parametrize("doc", [
+        json.dumps(GOOD_TRUTH).encode()[:-1] + b', "\xfe": 1}',
+        DEEP, [GOOD_TRUTH], dict(GOOD_TRUTH, p="x"),
+    ], ids=["not-utf8", "nested-deep", "list", "p-not-number"])
+    def test_truth_file(self, capsys, tmp_path, doc):
+        model = _write(tmp_path / "model.json", GOOD_MODEL)
+        truth = _write(tmp_path / "truth.json", doc)
+        self._expect_exit_2(capsys, "evaluate", "--model", model, "--truth", truth,
+                            name="truth.json")
+
+    @pytest.mark.parametrize("body", [DEEP, b"\xff{}"], ids=["nested-deep", "not-utf8"])
+    def test_sweep_config(self, capsys, tmp_path, body):
+        path = _write(tmp_path / "sweep.json", body)
+        self._expect_exit_2(capsys, "sweep", "--config", path,
+                            "--out", str(tmp_path / "out"), name="sweep.json")
+
+
 class TestGenerate:
     def test_writes_dataset_and_sidecar(self, capsys, tmp_path):
         out = tmp_path / "data.json"
@@ -280,6 +373,17 @@ class TestSweepCommand:
         assert run(capsys, "sweep", "--config", str(config), "--out", str(b), "--jobs", "2")[0] == 0
         assert (a / "rows.csv").read_bytes() == (b / "rows.csv").read_bytes()
         assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
+
+    @pytest.mark.parametrize("p", [2, "nan"])
+    def test_bad_noise_config_exit_2(self, capsys, tmp_path, p):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"n_values": [8], "k_values": [2], "s_values": [50],
+                                    "noise": [{"p": p}]}))
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "--quiet", "sweep", "--config", str(path), "--out", str(out))
+        assert code == 2
+        assert len(err.splitlines()) == 1 and "depolarizing probability" in err
+        assert not out.exists()
 
     def test_missing_config_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "sweep", "--config", str(tmp_path / "nope.json"),

@@ -194,6 +194,14 @@ class TestFilterDataset:
                 removed_fractions.append(1.0)
         assert np.mean(removed_fractions) >= 0.90
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_rejected_before_work(self, monkeypatch, threshold):
+        def no_support(*args):
+            raise AssertionError("support counted")
+        monkeypatch.setattr(depfilter, "_support", no_support)
+        with pytest.raises(ValueError, match="finite"):
+            filter_dataset(ShotDataset([B("0110")] * 10), threshold=threshold)
+
     def test_all_filtered_raises_with_advice(self):
         ds = ShotDataset([B("0" * 20), B("1" * 20)])
         with pytest.raises(AllFilteredError, match="eta"):

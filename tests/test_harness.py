@@ -211,6 +211,10 @@ class TestAggregate:
         with pytest.raises(ValueError):
             aggregate([])
 
+    def test_no_wall_clock_field(self):
+        table = aggregate(self._rows([False] * 3))
+        assert not [key for entry in table for key in entry if "runtime" in key]
+
     def test_summary_json_has_no_timing(self, tmp_path):
         table = aggregate(self._rows([False] * 3))
         path = tmp_path / "summary.json"
@@ -253,6 +257,41 @@ class TestSweepConfigIO:
             "noise": [{"p": 0.5}], "subsample_points": [200],
         }))
         with pytest.raises(ParseError):
+            load_sweep_config(path)
+
+    @pytest.mark.parametrize("noise", [
+        {"p": 2}, {"p": "nan"}, {"p": 0.5, "eps_low": 0.6, "eps_high": 0.7},
+        {"p": 0.5, "eps_low": 0.2, "eps_high": 0.1},
+    ])
+    def test_bad_noise_rejected_at_load(self, tmp_path, noise):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({
+            "n_values": [8], "k_values": [2], "s_values": [100], "noise": [noise],
+        }))
+        with pytest.raises(ParseError):
+            load_sweep_config(path)
+
+    def test_infinite_count_rejected_at_load(self, tmp_path):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({
+            "n_values": [float("inf")], "k_values": [2], "s_values": [100],
+            "noise": [{"p": 0.5}],
+        }))
+        with pytest.raises(ParseError):
+            load_sweep_config(path)
+
+    def test_noise_grid_checks_bounds(self):
+        for kwargs in ({"p": -0.1}, {"p": float("nan")}, {"p": 0.5, "eps_high": 0.5}):
+            with pytest.raises(ValueError):
+                NoiseGrid(**kwargs)
+
+    def test_em_clamps_not_configurable(self, tmp_path):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({
+            "n_values": [8], "k_values": [2], "s_values": [100], "noise": [{"p": 0.5}],
+            "em": {"eps_clamp_lo": 1e-3},
+        }))
+        with pytest.raises(ParseError, match="eps_clamp_lo"):
             load_sweep_config(path)
 
     def test_invalid_json(self, tmp_path):

@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from qem_mix.errors import DimensionError, InfeasibleError
+from qem_mix.errors import DimensionError, InfeasibleError, ParseError
 from qem_mix.shotdata import BitString
 from qem_mix.synth import (
     GroundTruth,
@@ -24,6 +26,11 @@ class TestNoiseSpec:
             NoiseSpec(p=0.5, eps=np.array([0.5]))
         with pytest.raises(ValueError):
             NoiseSpec(p=0.5, eps=np.array([-0.01]))
+
+    @pytest.mark.parametrize("p,eps", [(np.nan, [0.1]), (0.5, [0.1, np.nan])])
+    def test_nan_rejected(self, p, eps):
+        with pytest.raises(ValueError):
+            NoiseSpec(p=p, eps=np.array(eps))
 
     def test_depth_label_inert(self):
         a = NoiseSpec(p=0.5, eps=np.array([0.1]), depth_label="D=800")
@@ -162,3 +169,11 @@ class TestSidecarIO:
         assert noise2.p == noise.p
         assert np.allclose(noise2.eps, noise.eps)
         assert noise2.depth_label == "demo"
+
+    def test_out_of_range_number_is_parse_error(self, tmp_path):
+        path = tmp_path / "truth.json"
+        path.write_text(json.dumps({
+            "solutions": ["01"], "weights": [1.0], "p": 10**400, "eps": [0.1, 0.1],
+        }))
+        with pytest.raises(ParseError):
+            load_ground_truth(path)

@@ -16,11 +16,14 @@ t_floor (``select_radius``): the widest r before the first one at which
 uniform noise is expected to leave at least one survivor.
 
 Both passes run on the dataset's sorted packed keys and their counts.
-Radius-1 counting sets each clear bit of every key and looks the result
-up by binary search over the sorted keys: O(n * U log U), never O(2**n).
-Wider radii compare all pairs of distinct strings with blocked Gram
-products: O(U**2 * n) arithmetic in bounded memory. Shots are kept with
-one boolean mask over the distinct strings.
+Radius-1 counting on keys of n <= 64 bits, where 2**n is at most
+``_TABLE_ENTRIES_PER_KEY`` times the U distinct strings, scatters the
+counts into a dense 2**n table and gathers each key's n neighbours with
+one XOR per bit: O(2**n + n * U). Otherwise it sets each clear bit of
+every key and looks the result up by binary search over the sorted keys:
+O(n * U log U). Wider radii compare all pairs of distinct strings with
+blocked Gram products: O(U**2 * n) arithmetic in bounded memory. Shots are
+kept with one boolean mask over the distinct strings.
 """
 
 from __future__ import annotations
@@ -47,6 +50,9 @@ __all__ = [
 
 # Gram entries computed per block in the radius-r pass: 4 MiB of float32.
 _BLOCK_ENTRIES = 1 << 20
+# Radius-1 support uses a dense 2**n count table when it has at most this
+# many entries per distinct string (64 bytes each as int32).
+_TABLE_ENTRIES_PER_KEY = 16
 
 
 @dataclass(frozen=True)
@@ -97,7 +103,8 @@ def support_counts(dataset: ShotDataset, radius: int = 1) -> dict:
     Hamming distance ``radius`` of x, its own shots included.
 
     Only observed strings contribute (unobserved neighbors count 0).
-    Radius 1 costs O(n * U log U); wider radii cost O(U**2 * n).
+    Radius 1 costs O(2**n + n * U) where the dense table applies, else
+    O(n * U log U); wider radii cost O(U**2 * n).
     """
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
@@ -107,17 +114,27 @@ def support_counts(dataset: ShotDataset, radius: int = 1) -> dict:
 def _support(dataset: ShotDataset, radius: int) -> np.ndarray:
     """f_r per distinct string, aligned with ``dataset.keys``.
 
-    At radius 1, for each bit, every key with the bit clear is looked up
-    with the bit set by binary search over the sorted keys, and each pair
-    found credits both ends. Two strings one bit apart share every key
-    word but the toggled one, so on multi-word keys only rows that share
-    those words with another row are searched.
+    At radius 1 on one-word keys with 2**n at most
+    ``_TABLE_ENTRIES_PER_KEY`` entries per distinct string, the counts are
+    scattered into a dense 2**n table and each key gathers its n neighbours
+    with one XOR per bit. Otherwise, for each bit, every key with the bit
+    clear is looked up with the bit set by binary search over the sorted
+    keys, and each pair found credits both ends. Two strings one bit apart
+    share every key word but the toggled one, so on multi-word keys only
+    rows that share those words with another row are searched.
     """
     if radius > 1:
         return _support_within(dataset, radius)
     keys, cnt = dataset.keys, dataset.key_counts
     w = keys.shape[1]
     f = cnt.copy()
+    if w == 1 and 1 << dataset.n <= _TABLE_ENTRIES_PER_KEY * dataset.distinct:
+        index = keys[:, 0].astype(np.intp)
+        table = np.zeros(1 << dataset.n, dtype=np.int32 if dataset.s < 1 << 31 else np.int64)
+        table[index] = cnt
+        for b in range(dataset.n):
+            f += table[index ^ (1 << b)]
+        return f
     for i in range(w):
         rows = np.arange(len(keys))
         if w > 1:

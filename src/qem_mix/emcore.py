@@ -76,11 +76,12 @@ class MixtureModel:
             raise DimensionError("component centers must share one width")
         if alpha.shape != (len(x),):
             raise DimensionError("one weight per component required")
-        if np.any(alpha < 0) or abs(float(alpha.sum()) - 1.0) > 1e-9:
-            raise InvalidModelError("weights must be >= 0 and sum to 1")
+        # the tests are phrased so that NaN fails them
+        if not (np.all(alpha >= 0) and abs(float(alpha.sum()) - 1.0) <= 1e-9):
+            raise InvalidModelError("weights must be finite, >= 0 and sum to 1")
         if eps.shape != (n,):
             raise DimensionError(f"eps must have {n} entries")
-        if np.any(eps <= 0.0) or np.any(eps >= 0.5):
+        if not np.all((eps > 0.0) & (eps < 0.5)):
             raise InvalidModelError("flip probabilities must lie strictly in (0, 0.5)")
 
     @property

@@ -21,11 +21,11 @@ from functools import cached_property
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, EmptyDatasetError, ParseError
+from .errors import DimensionError, EmptyDatasetError, ParseError, QemError
 
 __all__ = [
     "BitString",
@@ -243,6 +243,10 @@ def _unique_rows(keys: np.ndarray) -> tuple:
     return rows.reshape(-1, keys.shape[1]), counts, inverse.reshape(-1)
 
 
+# characters of a bad line that a ParseError quotes
+_QUOTED_CHARS = 80
+
+
 def load_shots_text(path) -> ShotDataset:
     """Read a dataset from a text file, one bit-string per line.
 
@@ -258,7 +262,9 @@ def load_shots_text(path) -> ShotDataset:
             if not text:
                 continue
             if set(text) - {"0", "1"}:
-                raise ParseError(f"{path}:{lineno}: not a binary string: {text!r}")
+                more = "…" if len(text) > _QUOTED_CHARS else ""
+                raise ParseError(f"{path}:{lineno}: not a binary string: "
+                                 f"{text[:_QUOTED_CHARS]!r}{more}")
             if n is None:
                 n = len(text)
             elif len(text) != n:
@@ -277,7 +283,16 @@ def load_counts(path) -> ShotDataset:
     The table is validated, packed and sorted without expanding the counts,
     so memory grows with the number of distinct strings, not with S. The
     shot order is lexicographic regardless of the file's key order.
+
+    A file in the exact byte form ``save_counts`` writes is parsed with
+    numpy: ``{"bits":count,...}`` and a newline, with no whitespace or
+    escapes, every key n >= 1 characters of 0 and 1, every count 1 to 18
+    digits with no leading zero, and no key twice. Any other file is read
+    as JSON, and gives the same dataset or error it always did.
     """
+    dataset = _read_canonical_counts(path)
+    if dataset is not None:
+        return dataset
     table = _read_json_object(path)
     if not table:
         raise EmptyDatasetError(f"{path}: empty count table")
@@ -296,6 +311,65 @@ def load_counts(path) -> ShotDataset:
     keys = _pack_texts(texts, n)
     order = np.lexsort(keys.T[::-1])
     return ShotDataset._make(n, keys[order], np.array(counts, dtype=np.int64)[order])
+
+
+# 10**18 - 1 < 2**63: a count of at most this many digits fits an int64
+_MAX_DIGITS = 18
+
+
+def _read_canonical_counts(path) -> Optional[ShotDataset]:
+    """The dataset of a counts file in ``save_counts``'s byte form, or None
+    if the file deviates from it anywhere (see ``load_counts``).
+
+    The structure is checked with whole-file byte tests; keys are packed
+    one character column at a time, counts one digit at a time.
+    """
+    with open(path, "rb") as fh:
+        raw = np.fromfile(fh, dtype=np.uint8)
+    zero = np.uint8(ord("0"))
+    quotes = np.flatnonzero(raw == ord('"'))
+    u = len(quotes) // 2
+    if not u or len(quotes) % 2 or raw[0] != ord("{") or quotes[0] != 1 \
+            or raw[-2:].tobytes() != b"}\n":
+        return None
+    opens, closes = quotes[::2], quotes[1::2]
+    n = int(closes[0] - opens[0]) - 1
+    starts = closes + 2                              # first digit of each count
+    ends = np.append(opens[1:] - 1, len(raw) - 2)    # the comma, or the last "}"
+    digits = ends - starts
+    # every byte but the 4u + 2 of "{", quotes, colons, commas, "}" and
+    # the newline must be a digit
+    if (
+        n < 1 or np.any(closes - opens != n + 1)
+        or digits.min() < 1 or digits.max() > _MAX_DIGITS
+        or np.any(raw[closes + 1] != ord(":")) or np.any(raw[ends[:-1]] != ord(","))
+        or np.any(raw[starts] == zero)
+        or np.count_nonzero(raw - zero < 10) != len(raw) - 4 * u - 2
+    ):
+        return None
+    w = -(-n // 64)
+    words = np.zeros((w, u), dtype=np.uint64)  # word 0 most significant
+    column = opens + 1
+    for j in range(n):
+        bits = raw[column] - zero
+        if bits.max() > 1:
+            return None
+        word = words[(j + 64 * w - n) // 64]
+        word <<= np.uint64(1)
+        word |= bits
+        column += 1
+    counts = (raw[starts] - zero).astype(np.int64)
+    for k in range(1, int(digits.max())):
+        more = np.flatnonzero(digits > k)
+        counts[more] = counts[more] * 10 + (raw[starts[more] + k] - zero)
+    del raw
+    if int(counts.max()) * u >= 1 << 63 and sum(counts.tolist()) >= 1 << 63:
+        return None  # the JSON reader raises for this total
+    order = np.lexsort(words[::-1])
+    words, counts = words[:, order], counts[order]
+    if np.any(np.all(words[:, 1:] == words[:, :-1], axis=0)):
+        return None  # a repeated key: JSON keeps its last count
+    return ShotDataset._make(n, np.ascontiguousarray(words.T), counts)
 
 
 def _raise_first_bad(path, table: dict) -> None:
@@ -329,9 +403,12 @@ def _read_json_object(path) -> dict:
 @contextmanager
 def _parse_fields(path):
     """Read a document's fields inside this block: a missing field or a
-    value of the wrong type or form is a ParseError naming ``path``."""
+    value of the wrong type or form is a ParseError naming ``path``, and a
+    qem_mix error keeps its type but gains the path."""
     try:
         yield
+    except QemError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
     except KeyError as exc:
         raise ParseError(f"{path}: missing field {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:

@@ -89,8 +89,8 @@ class GroundTruth:
             raise ValueError("solutions must be pairwise distinct")
         if w.shape != (len(sols),):
             raise DimensionError("one weight per solution required")
-        if np.any(w < 0.0) or abs(float(w.sum()) - 1.0) > 1e-12:
-            raise ValueError("weights must be non-negative and sum to 1")
+        if not (np.all(w >= 0.0) and abs(float(w.sum()) - 1.0) <= 1e-12):  # NaN fails it
+            raise ValueError("weights must be finite, non-negative and sum to 1")
 
     @property
     def n(self) -> int:

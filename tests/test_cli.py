@@ -178,6 +178,35 @@ class TestMalformedFiles:
                             "--out", str(tmp_path / "out"), name="sweep.json")
 
 
+class TestBadValues:
+    """Non-finite numbers fail at load, and a bad line is quoted in part."""
+
+    @pytest.mark.parametrize("name,doc,exit_code", [
+        ("model.json", dict(GOOD_MODEL, alpha=[float("nan")]), 3),
+        ("model.json", dict(GOOD_MODEL, eps=[float("nan"), 0.1]), 3),
+        ("truth.json", dict(GOOD_TRUTH, solutions=["01", "10"], weights=[float("nan"), 1.0]), 2),
+    ], ids=["alpha-nan", "eps-nan", "weights-nan"])
+    def test_non_finite_number_rejected_at_load(self, capsys, tmp_path, monkeypatch,
+                                                name, doc, exit_code):
+        from qem_mix import cli
+
+        def no_scoring(*args):
+            raise AssertionError("scored a model that should not load")
+        monkeypatch.setattr(cli, "ber", no_scoring)
+        files = {"model.json": GOOD_MODEL, "truth.json": GOOD_TRUTH, name: doc}
+        model, truth = (_write(tmp_path / f, d) for f, d in files.items())
+        code, _, err = run(capsys, "--quiet", "evaluate", "--model", model, "--truth", truth)
+        assert code == exit_code
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {tmp_path / name}: ")
+
+    def test_long_shots_line_quoted_in_part(self, capsys, tmp_path):
+        path = _write(tmp_path / "shots.txt", DEEP)
+        code, _, err = run(capsys, "--quiet", "filter", path)
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}:1: ")
+        assert len(err.encode()) < 300
+
+
 class TestGenerate:
     def test_writes_dataset_and_sidecar(self, capsys, tmp_path):
         out = tmp_path / "data.json"

@@ -79,6 +79,43 @@ class TestSupportCounts:
         for radius in (2, 15, 18, 40):
             assert support_counts(ds, radius) == naive_support_counts(ds, radius)
 
+    @pytest.mark.parametrize("n", [1, 2, 12, 20])
+    @pytest.mark.parametrize("table", [True, False], ids=["table", "search"])
+    def test_table_and_search_match_brute_force(self, rng, monkeypatch, n, table):
+        # the constant forces one radius-1 method; strings repeat and many
+        # have one-bit neighbours
+        monkeypatch.setattr(depfilter, "_TABLE_ENTRIES_PER_KEY", 1 << 24 if table else 0)
+        pool = rng.integers(0, 2, size=(30, n), dtype=np.uint8)
+        bits = pool[rng.integers(0, 30, size=300)]
+        bits[::3][np.arange(100), np.arange(100) % n] ^= 1  # every bit position
+        ds = ShotDataset.from_bit_matrix(bits)
+        assert max(ds.counts.values()) > 1
+        assert support_counts(ds) == naive_support_counts(ds)
+
+    @pytest.mark.parametrize("side", [0, -1], ids=["table", "search"])
+    def test_both_sides_of_the_table_switch(self, rng, side):
+        # the fewest distinct strings that still take the dense table, and
+        # one fewer
+        n = 12
+        distinct = -(-(1 << n) // depfilter._TABLE_ENTRIES_PER_KEY) + side
+        values = rng.choice(1 << n, size=distinct, replace=False)
+        values = np.concatenate([values, values[: distinct // 2]])
+        bits = (values[:, None] >> np.arange(n - 1, -1, -1)) & 1
+        ds = ShotDataset.from_bit_matrix(bits)
+        assert ds.distinct == distinct
+        assert (1 << n <= depfilter._TABLE_ENTRIES_PER_KEY * ds.distinct) == (side == 0)
+        assert support_counts(ds) == naive_support_counts(ds)
+
+    def test_filter_keeps_the_same_shots_on_both_methods(self, monkeypatch):
+        gt = sample_ground_truth(12, 4, 9)
+        ds = generate_shots(gt, NoiseSpec(p=0.85, eps=np.full(12, 0.05)), 10000, 10)
+        reports = []
+        for entries in (1 << 24, 0):
+            monkeypatch.setattr(depfilter, "_TABLE_ENTRIES_PER_KEY", entries)
+            reports.append(filter_dataset(ds, FilterConfig(eta=1.5, t_floor=2)))
+        assert reports[0].kept == reports[1].kept
+        assert np.array_equal(reports[0].support, reports[1].support)
+
     def test_radius_below_one_rejected(self):
         with pytest.raises(ValueError):
             support_counts(ShotDataset([B("01")]), 0)

@@ -1,7 +1,9 @@
 """Property tests: the file loaders fail only with their documented error
-types, and EM keeps its invariants on arbitrary small data."""
+types, the numpy counts reader agrees with the JSON one, and EM keeps its
+invariants on arbitrary small data."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from qem_mix import shotdata
 from qem_mix.emcore import EmConfig, load_model, run_em
 from qem_mix.errors import DegenerateModelError, QemError
 from qem_mix.harness import load_sweep_config
@@ -70,6 +73,103 @@ def test_loaders_on_arbitrary_bytes(scratch, body):
 def test_loaders_on_arbitrary_json(scratch, doc):
     scratch.write_text(json.dumps(doc))
     _load_all(scratch)
+
+
+def _counts_file(entries, end=b"}\n") -> bytes:
+    return b"{" + b",".join(b'"%s":%s' % (k.encode(), c.encode()) for k, c in entries) + end
+
+
+def _load_outcome(path, fast: bool):
+    """``load_counts``'s dataset, or its error's type, text and exit code,
+    with the numpy reader on or skipped."""
+    reader = shotdata._read_canonical_counts if fast else (lambda path: None)
+    with mock.patch.object(shotdata, "_read_canonical_counts", reader):
+        try:
+            return load_counts(path)
+        except QemError as exc:
+            return type(exc), str(exc), exc.exit_code
+
+
+def _assert_readers_agree(path, body):
+    path.write_bytes(body)
+    assert _load_outcome(path, fast=True) == _load_outcome(path, fast=False)
+
+
+MAX_18 = "9" * 18
+# count spellings the numpy reader must leave to the JSON one
+bad_counts = st.one_of(
+    st.integers(0, 10**16).map(lambda c: "0" + str(c)),
+    st.integers(10**18, 10**19 - 1).map(str),
+    st.sampled_from(["0", "true", "1.0", "1e3", "-1", '"1"']),
+)
+# byte strings spliced into a canonical file
+splices = st.sampled_from([b" ", b"\n", b"\t", b"\\u0030", b'"', b",", b":", b"0",
+                           b"\xff", b"\xc3\x28", b"\xe2\x80\xa8"])
+
+
+EDITS = ["none", "count", "duplicate", "width", "no-newline", "splice", "delete"]
+
+
+@st.composite
+def near_canonical_files(draw, edit):
+    """A canonical counts file with one deviation of the kind ``edit``."""
+    n = draw(st.sampled_from([1, 2, 5, 20, 63, 64, 65, 128]))
+    size = draw(st.integers(1, 12))
+    keys = [draw(st.text("01", min_size=n, max_size=n)) for _ in range(size)]
+    if draw(st.booleans()):  # all of the widest canonical count: the sum may pass 2**63
+        counts = [MAX_18] * size
+    else:
+        counts = [str(draw(st.integers(1, 10**18 - 1))) for _ in range(size)]
+    entries = list(zip(keys, counts))
+    at = draw(st.integers(0, size - 1))
+    if edit == "count":
+        entries[at] = (keys[at], draw(bad_counts))
+    elif edit == "duplicate":
+        entries.insert(draw(st.integers(0, size)), (keys[at], "7"))
+    elif edit == "width":
+        entries[at] = ("1" * draw(st.sampled_from([n - 1, n + 1]).filter(bool)), counts[at])
+    body = _counts_file(entries, b"}" if edit == "no-newline" else b"}\n")
+    at = draw(st.integers(0, len(body) - 1))
+    if edit == "splice":
+        body = body[:at] + draw(splices) + body[at:]
+    elif edit == "delete":
+        body = body[:at] + body[at + 1:]
+    return body
+
+
+NAMED_FILES = {
+    "canonical": _counts_file([("0011", "5"), ("0110", "12"), ("1111", "1")]),
+    "unsorted": _counts_file([("1111", "1"), ("0011", "5")]),
+    "space": b'{"0011": 5}\n',
+    "escape": b'{"\\u0030011":5}\n',
+    "duplicate": _counts_file([("0011", "5"), ("0110", "2"), ("0011", "9")]),
+    "leading-zero": _counts_file([("0011", "05")]),
+    "zero": _counts_file([("0011", "0")]),
+    "18-digits": _counts_file([("0011", MAX_18)]),
+    "19-digits": _counts_file([("0011", "1" + "0" * 18)]),
+    "true": _counts_file([("0011", "true")]),
+    "float": _counts_file([("0011", "1.0")]),
+    "exponent": _counts_file([("0011", "1e3")]),
+    "no-newline": _counts_file([("0011", "5")], end=b"}"),
+    "mixed-widths": _counts_file([("0011", "5"), ("011", "5")]),
+    **{f"width-{n}": _counts_file([(("01" * n)[:n], "3"), ("1" * n, "4")])
+       for n in (63, 64, 65, 128)},
+    "sum-past-2**63": _counts_file([(format(i, "04b"), MAX_18) for i in range(10)]),
+    "not-utf8": b'{"0011":5,"0\xff11":5}\n',
+    "empty": b"{}\n",
+}
+
+
+@pytest.mark.parametrize("body", NAMED_FILES.values(), ids=NAMED_FILES)
+def test_counts_readers_agree_on_named_files(scratch, body):
+    _assert_readers_agree(scratch, body)
+
+
+@pytest.mark.parametrize("edit", EDITS)
+@settings(max_examples=50)
+@given(data=st.data())
+def test_counts_readers_agree(scratch, edit, data):
+    _assert_readers_agree(scratch, data.draw(near_canonical_files(edit)))
 
 
 @settings(max_examples=60)

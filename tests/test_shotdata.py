@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qem_mix import shotdata
 from qem_mix.errors import DimensionError, EmptyDatasetError, ParseError
 from qem_mix.shotdata import (
     BitString,
@@ -221,6 +222,33 @@ class TestCountsIO:
             assert {k.text: v for k, v in back.counts.items()} == {
                 k.text: v for k, v in ds.counts.items()
             }
+
+    @pytest.mark.parametrize("n", [1, 20, 64, 65, 128])
+    def test_saved_files_take_the_fast_reader(self, tmp_path, monkeypatch, rng, n):
+        # every file save_counts writes is in the form the numpy reader
+        # accepts, so the JSON reader is never reached
+        bits = rng.integers(0, 2, size=(200, n), dtype=np.uint8)
+        bits[100:] = bits[:100]
+        big = {
+            format(int(v), f"0{n}b"): int(c)
+            for v, c in zip(rng.integers(0, 1 << min(n, 62), size=40),
+                            rng.integers(1, 10**17, size=40, endpoint=True))
+        }
+        big[format(0, f"0{n}b")] = 10**17
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(big))  # spaces: read as JSON
+        datasets = [ShotDataset.from_bit_matrix(bits), load_counts(path)]
+
+        def no_json(path):
+            raise AssertionError(f"{path} was read as JSON")
+        monkeypatch.setattr(shotdata, "_read_json_object", no_json)
+        for ds in datasets:
+            save_counts(ds, path)
+            back = load_counts(path)
+            assert (back.n, back.s) == (ds.n, ds.s)
+            assert back.keys.dtype == np.uint64 and back.key_counts.dtype == np.int64
+            assert np.array_equal(back.keys, ds.keys)
+            assert np.array_equal(back.key_counts, ds.key_counts)
 
     def test_keys_sorted_on_disk(self, tmp_path):
         ds = ShotDataset([B("10"), B("01")])

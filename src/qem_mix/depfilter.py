@@ -48,7 +48,8 @@ __all__ = [
     "filter_dataset",
 ]
 
-# Gram entries computed per block in the radius-r pass: 4 MiB of float32.
+# Entries computed per block by the support passes: Gram entries at radius
+# r > 1 (4 MiB of float32), table lookups at radius 1.
 _BLOCK_ENTRIES = 1 << 20
 # Radius-1 support uses a dense 2**n count table when it has at most this
 # many entries per distinct string (64 bytes each as int32).
@@ -129,11 +130,13 @@ def _support(dataset: ShotDataset, radius: int) -> np.ndarray:
     w = keys.shape[1]
     f = cnt.copy()
     if w == 1 and 1 << dataset.n <= _TABLE_ENTRIES_PER_KEY * dataset.distinct:
-        index = keys[:, 0].astype(np.intp)
         table = np.zeros(1 << dataset.n, dtype=np.int32 if dataset.s < 1 << 31 else np.int64)
-        table[index] = cnt
-        for b in range(dataset.n):
-            f += table[index ^ (1 << b)]
+        table[keys[:, 0]] = cnt
+        rows = max(1, _BLOCK_ENTRIES // dataset.n)  # keys per block of lookups
+        for lo in range(0, len(keys), rows):
+            index, part = keys[lo:lo + rows, 0].astype(np.intp), f[lo:lo + rows]
+            for b in range(dataset.n):
+                part += table[index ^ (1 << b)]
         return f
     for i in range(w):
         rows = np.arange(len(keys))

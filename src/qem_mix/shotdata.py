@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, EmptyDatasetError, ParseError, QemError
 
@@ -315,61 +316,90 @@ def load_counts(path) -> ShotDataset:
 
 # 10**18 - 1 < 2**63: a count of at most this many digits fits an int64
 _MAX_DIGITS = 18
+# file bytes per block of the canonical reader's byte pass, and padded key
+# bits per block of its record pass: each block's temporaries stay in cache
+_SCAN_BLOCK = 1 << 18
 
 
 def _read_canonical_counts(path) -> Optional[ShotDataset]:
     """The dataset of a counts file in ``save_counts``'s byte form, or None
     if the file deviates from it anywhere (see ``load_counts``).
 
-    The structure is checked with whole-file byte tests; keys are packed
-    one character column at a time, counts one digit at a time.
+    The file is read once. One pass over its bytes finds the quotes and
+    counts the digits; a second checks, packs and parses the records. Both
+    run a block at a time, so no temporary is larger than a block.
     """
     with open(path, "rb") as fh:
         raw = np.fromfile(fh, dtype=np.uint8)
-    zero = np.uint8(ord("0"))
-    quotes = np.flatnonzero(raw == ord('"'))
-    u = len(quotes) // 2
-    if not u or len(quotes) % 2 or raw[0] != ord("{") or quotes[0] != 1 \
-            or raw[-2:].tobytes() != b"}\n":
-        return None
-    opens, closes = quotes[::2], quotes[1::2]
-    n = int(closes[0] - opens[0]) - 1
-    starts = closes + 2                              # first digit of each count
-    ends = np.append(opens[1:] - 1, len(raw) - 2)    # the comma, or the last "}"
-    digits = ends - starts
+    quotes, digit_bytes = _scan_bytes(raw)
+    u = (len(quotes) - 1) // 2
     # every byte but the 4u + 2 of "{", quotes, colons, commas, "}" and
     # the newline must be a digit
-    if (
-        n < 1 or np.any(closes - opens != n + 1)
-        or digits.min() < 1 or digits.max() > _MAX_DIGITS
-        or np.any(raw[closes + 1] != ord(":")) or np.any(raw[ends[:-1]] != ord(","))
-        or np.any(raw[starts] == zero)
-        or np.count_nonzero(raw - zero < 10) != len(raw) - 4 * u - 2
-    ):
+    if not u or len(quotes) % 2 == 0 or raw[0] != ord("{") or quotes[0] != 1 \
+            or raw[-2:].tobytes() != b"}\n" or digit_bytes != len(raw) - 4 * u - 2:
+        return None
+    n = int(quotes[1] - quotes[0]) - 1
+    if n < 1:
         return None
     w = -(-n // 64)
-    words = np.zeros((w, u), dtype=np.uint64)  # word 0 most significant
-    column = opens + 1
-    for j in range(n):
-        bits = raw[column] - zero
-        if bits.max() > 1:
+    keys = np.empty((u, w), dtype=np.uint64)
+    counts = np.empty(u, dtype=np.int64)
+    windows = sliding_window_view(raw, n)  # row i: the n bytes from byte i
+    step = max(1, _SCAN_BLOCK // (64 * w))
+    for lo in range(0, u, step):
+        hi = min(lo + step, u)
+        opens, closes = quotes[2 * lo:2 * hi:2], quotes[2 * lo + 1:2 * hi:2]
+        starts = closes + 2                                # first digit of each count
+        ends = quotes[2 * lo + 2:2 * hi + 1:2] - 1         # the comma, or the last "}"
+        digits = ends - starts
+        if (
+            np.any(closes - opens != n + 1)
+            or digits.min() < 1 or digits.max() > _MAX_DIGITS
+            or np.any(raw[closes + 1] != ord(":"))
+            or np.any(raw[ends[:-1] if hi == u else ends] != ord(","))
+            or np.any(raw[starts] == ord("0"))
+        ):
             return None
-        word = words[(j + 64 * w - n) // 64]
-        word <<= np.uint64(1)
-        word |= bits
-        column += 1
-    counts = (raw[starts] - zero).astype(np.int64)
-    for k in range(1, int(digits.max())):
-        more = np.flatnonzero(digits > k)
-        counts[more] = counts[more] * 10 + (raw[starts[more] + k] - zero)
-    del raw
+        bits = windows[opens + 1]
+        if bits.max() > ord("1"):
+            return None
+        bits &= 1
+        keys[lo:hi] = _pack_bits(bits)
+        value = counts[lo:hi]
+        np.subtract(raw[starts], ord("0"), out=value, dtype=np.int64)
+        for k in range(1, int(digits.max())):
+            more = np.flatnonzero(digits > k)
+            value[more] = value[more] * 10 + (raw[starts[more] + k] - ord("0"))
+    del raw, windows
     if int(counts.max()) * u >= 1 << 63 and sum(counts.tolist()) >= 1 << 63:
         return None  # the JSON reader raises for this total
-    order = np.lexsort(words[::-1])
-    words, counts = words[:, order], counts[order]
-    if np.any(np.all(words[:, 1:] == words[:, :-1], axis=0)):
-        return None  # a repeated key: JSON keeps its last count
-    return ShotDataset._make(n, np.ascontiguousarray(words.T), counts)
+    if w > 1 or np.any(keys[1:, 0] <= keys[:-1, 0]):  # save_counts writes keys ascending
+        order = np.lexsort(keys.T[::-1])
+        keys, counts = keys[order], counts[order]
+        if np.any(np.all(keys[1:] == keys[:-1], axis=1)):
+            return None  # a repeated key: JSON keeps its last count
+    return ShotDataset._make(n, keys, counts)
+
+
+def _scan_bytes(raw: np.ndarray) -> tuple:
+    """The positions of the quote bytes in ``raw``, followed by len(raw) - 1
+    (where an opening quote after the last record would be), and the number
+    of digit bytes; found ``_SCAN_BLOCK`` bytes at a time."""
+    quotes, digit_bytes = [], 0
+    flags = np.empty(min(len(raw), _SCAN_BLOCK), dtype=bool)
+    shifted = np.empty(len(flags), dtype=np.uint8)
+    for lo in range(0, len(raw), _SCAN_BLOCK):
+        block = raw[lo:lo + _SCAN_BLOCK]
+        flag, low = flags[:len(block)], shifted[:len(block)]
+        np.equal(block, ord('"'), out=flag)
+        at = np.flatnonzero(flag)
+        at += lo
+        quotes.append(at)
+        np.subtract(block, ord("0"), out=low)  # wraps below "0"
+        np.less(low, 10, out=flag)
+        digit_bytes += int(np.count_nonzero(flag))
+    quotes.append(np.array([len(raw) - 1]))
+    return np.concatenate(quotes), digit_bytes
 
 
 def _raise_first_bad(path, table: dict) -> None:

@@ -92,6 +92,16 @@ class TestSupportCounts:
         assert max(ds.counts.values()) > 1
         assert support_counts(ds) == naive_support_counts(ds)
 
+    @pytest.mark.parametrize("n", [1, 12])
+    def test_table_across_lookup_blocks(self, rng, monkeypatch, n):
+        # blocks of 3 keys (one for n=1): neighbours in other blocks count
+        monkeypatch.setattr(depfilter, "_TABLE_ENTRIES_PER_KEY", 1 << 24)
+        monkeypatch.setattr(depfilter, "_BLOCK_ENTRIES", 3 * n)
+        bits = rng.integers(0, 2, size=(200, n), dtype=np.uint8)
+        bits[::2, 0] ^= 1
+        ds = ShotDataset.from_bit_matrix(bits)
+        assert support_counts(ds) == naive_support_counts(ds)
+
     @pytest.mark.parametrize("side", [0, -1], ids=["table", "search"])
     def test_both_sides_of_the_table_switch(self, rng, side):
         # the fewest distinct strings that still take the dense table, and

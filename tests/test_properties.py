@@ -107,7 +107,7 @@ splices = st.sampled_from([b" ", b"\n", b"\t", b"\\u0030", b'"', b",", b":", b"0
                            b"\xff", b"\xc3\x28", b"\xe2\x80\xa8"])
 
 
-EDITS = ["none", "count", "duplicate", "width", "no-newline", "splice", "delete"]
+EDITS = ["none", "count", "duplicate", "width", "no-newline", "splice", "delete", "replace"]
 
 
 @st.composite
@@ -134,6 +134,8 @@ def near_canonical_files(draw, edit):
         body = body[:at] + draw(splices) + body[at:]
     elif edit == "delete":
         body = body[:at] + body[at + 1:]
+    elif edit == "replace":
+        body = body[:at] + draw(splices) + body[at + 1:]
     return body
 
 
@@ -157,6 +159,9 @@ NAMED_FILES = {
     "sum-past-2**63": _counts_file([(format(i, "04b"), MAX_18) for i in range(10)]),
     "not-utf8": b'{"0011":5,"0\xff11":5}\n',
     "empty": b"{}\n",
+    "no-bytes": b"",
+    "colon-for-comma": b'{"0011":5:"0110":2,"1111":1}\n',
+    "space-for-comma": b'{"0011":5,"0110":2 "1111":1}\n',
 }
 
 
@@ -170,6 +175,18 @@ def test_counts_readers_agree_on_named_files(scratch, body):
 @given(data=st.data())
 def test_counts_readers_agree(scratch, edit, data):
     _assert_readers_agree(scratch, data.draw(near_canonical_files(edit)))
+
+
+@settings(max_examples=100)
+@given(data=st.data(), block=st.sampled_from([1, 2, 7, 64, 65, 200]))
+def test_canonical_reader_ignores_block_size(scratch, data, block):
+    """The numpy reader gives the same dataset, or None, when its blocks
+    end inside a key, a count or a separator, or hold one record."""
+    named = st.sampled_from(list(NAMED_FILES.values()))
+    scratch.write_bytes(data.draw(named | near_canonical_files(data.draw(st.sampled_from(EDITS)))))
+    whole = shotdata._read_canonical_counts(scratch)
+    with mock.patch.object(shotdata, "_SCAN_BLOCK", block):
+        assert shotdata._read_canonical_counts(scratch) == whole
 
 
 @settings(max_examples=60)

@@ -250,6 +250,22 @@ class TestCountsIO:
             assert np.array_equal(back.keys, ds.keys)
             assert np.array_equal(back.key_counts, ds.key_counts)
 
+    @pytest.mark.parametrize("n", [1, 20, 65])
+    @pytest.mark.parametrize("block", [1, 64, 1000])
+    def test_fast_reader_in_small_blocks(self, tmp_path, monkeypatch, rng, n, block):
+        # blocks that end inside records give the dataset one block gives
+        ds = ShotDataset.from_bit_matrix(rng.integers(0, 2, size=(300, n), dtype=np.uint8))
+        path = tmp_path / "table.json"
+        save_counts(ds, path)
+
+        def no_json(path):
+            raise AssertionError(f"{path} was read as JSON")
+        monkeypatch.setattr(shotdata, "_read_json_object", no_json)
+        monkeypatch.setattr(shotdata, "_SCAN_BLOCK", block)
+        back = load_counts(path)
+        assert np.array_equal(back.keys, ds.keys)
+        assert np.array_equal(back.key_counts, ds.key_counts)
+
     def test_keys_sorted_on_disk(self, tmp_path):
         ds = ShotDataset([B("10"), B("01")])
         path = tmp_path / "counts.json"

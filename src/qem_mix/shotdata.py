@@ -327,7 +327,8 @@ def _read_canonical_counts(path) -> Optional[ShotDataset]:
 
     The file is read once. One pass over its bytes finds the quotes and
     counts the digits; a second checks, packs and parses the records. Both
-    run a block at a time, so no temporary is larger than a block.
+    run a block at a time: besides the file's bytes, only the quote
+    positions span the whole file.
     """
     with open(path, "rb") as fh:
         raw = np.fromfile(fh, dtype=np.uint8)

@@ -50,9 +50,7 @@ from .emcore import (
 from .metrics import (
     EvalResult,
     ber,
-    empirical_distribution,
     hellinger_fidelity,
-    k_error_rate,
     model_to_distribution,
 )
 from .harness import (
@@ -75,8 +73,7 @@ __all__ = [
     "e_step", "kmeanspp_init", "log_component_likelihood", "log_likelihood",
     "m_step_alpha", "m_step_eps", "m_step_x", "mml_objective",
     "run_em", "run_em_fixed_k",
-    "EvalResult", "ber", "empirical_distribution", "hellinger_fidelity",
-    "k_error_rate", "model_to_distribution",
+    "EvalResult", "ber", "hellinger_fidelity", "model_to_distribution",
     "NoiseGrid", "SweepConfig", "SweepRow", "aggregate",
     "run_pipeline", "run_sweep",
 ]

@@ -1,5 +1,5 @@
-"""Evaluation metrics: matched-pair bit error rate, K-estimation error rate,
-and Hellinger fidelity between discrete distributions."""
+"""Evaluation metrics: matched-pair bit error rate and Hellinger fidelity
+between discrete distributions."""
 
 from __future__ import annotations
 
@@ -8,16 +8,14 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import DimensionError, NormalizationError
-from .shotdata import BitString, ShotDataset, hamming_distance
+from .shotdata import BitString, hamming_distance
 from .emcore import MixtureModel
 
 __all__ = [
     "EvalResult",
     "ber",
-    "k_error_rate",
     "hellinger_fidelity",
     "model_to_distribution",
-    "empirical_distribution",
 ]
 
 
@@ -81,15 +79,6 @@ def ber(truth: Sequence[BitString], estimate: Sequence[BitString], n: int) -> Ev
     )
 
 
-def k_error_rate(reports: Sequence) -> float:
-    """Fraction of (k_true, k_hat) pairs that disagree."""
-    reports = list(reports)
-    if not reports:
-        raise ValueError("need at least one (k_true, k_hat) entry")
-    wrong = sum(1 for k_true, k_hat in reports if k_true != k_hat)
-    return wrong / len(reports)
-
-
 def _check_distribution(dist: Mapping[str, float], name: str) -> None:
     total = 0.0
     for key, p in dist.items():
@@ -119,11 +108,3 @@ def model_to_distribution(model: MixtureModel) -> dict:
         if a > 0:
             dist[x.text] = dist.get(x.text, 0.0) + float(a)
     return dist
-
-
-def empirical_distribution(dataset: ShotDataset) -> dict:
-    """Relative frequency of each distinct observed string."""
-    s = dataset.s
-    return {bs.text: c / s for bs, c in sorted(
-        dataset.counts.items(), key=lambda kv: kv[0].value
-    )}

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from operator import itemgetter
-from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -139,8 +138,7 @@ class ShotDataset:
 
     def distinct_bits(self) -> np.ndarray:
         """U x n uint8 matrix of the distinct strings' bits, in key order."""
-        raw = self.keys.astype(">u8").view(np.uint8)
-        return np.unpackbits(raw, axis=1)[:, raw.shape[1] * 8 - self.n:]
+        return _unpack_bits(self.keys, self.n)
 
     def _values(self) -> list:
         values = self.keys[:, 0].tolist()
@@ -228,11 +226,26 @@ def _pack_texts(texts: list, n: int) -> np.ndarray:
 
 
 def _pack_bits(bits: np.ndarray) -> np.ndarray:
-    """S x W uint64 keys of an S x n {0,1} matrix."""
+    """S x W uint64 keys of an S x n {0,1} matrix: each row is padded on
+    the left to whole bytes, packed, and right-aligned in its W words."""
     s, n = bits.shape
-    padded = np.zeros((s, n + (-n) % 64), dtype=np.uint8)
-    padded[:, (-n) % 64:] = bits
-    return np.packbits(padded, axis=1).view(">u8").astype(np.uint64)
+    nbytes, w = -(-n // 8), -(-n // 64)
+    if n % 8:
+        padded = np.zeros((s, 8 * nbytes), dtype=np.uint8)
+        padded[:, (-n) % 8:] = bits
+        bits = padded
+    words = np.zeros((s, 8 * w), dtype=np.uint8)
+    # packing the rows as one flat run is much faster than along axis 1
+    words[:, 8 * w - nbytes:] = np.packbits(bits.reshape(-1)).reshape(s, nbytes)
+    return words.view(">u8").astype(np.uint64)
+
+
+def _unpack_bits(keys: np.ndarray, n: int) -> np.ndarray:
+    """The U x n {0,1} matrix of U x W uint64 keys of n bits: the inverse
+    of ``_pack_bits``."""
+    nbytes = -(-n // 8)
+    raw = keys.astype(">u8").view(np.uint8)[:, 8 * keys.shape[1] - nbytes:]
+    return np.unpackbits(raw, axis=1)[:, 8 * nbytes - n:]
 
 
 def _unique_rows(keys: np.ndarray) -> tuple:
@@ -446,11 +459,43 @@ def _parse_fields(path):
         raise ParseError(f"{path}: {exc}") from exc
 
 
+# records per block of save_counts: each block's byte matrix stays in cache
+_WRITE_BLOCK = 1 << 12
+# 10**j for j = 1 .. 18: a count c has 1 + (how many of these are <= c) digits
+_POWERS_OF_TEN = 10 ** np.arange(1, _MAX_DIGITS + 1, dtype=np.int64)
+
+
 def save_counts(dataset: ShotDataset, path) -> None:
-    """Write a dataset's count table as JSON, keys sorted lexicographically."""
-    width = f"0{dataset.n}b"
-    body = ",".join(
-        f'"{format(v, width)}":{c}'
-        for v, c in zip(dataset._values(), dataset.key_counts.tolist())
-    )
-    Path(path).write_text("{" + body + "}\n", encoding="utf-8")
+    """Write a dataset's count table as JSON, keys sorted lexicographically.
+
+    The file is ``{"bits":count,...}`` and a newline, with no whitespace:
+    the byte form ``load_counts`` parses with numpy. A count of 19 digits
+    (10**18 or more) is written in the same form, but read back by the JSON
+    reader. Records are encoded ``_WRITE_BLOCK`` at a time: each block is a
+    matrix of one row per record, with its count right-aligned in the
+    block's widest digit count, and one mask drops the leading zeros.
+    """
+    n, u = dataset.n, dataset.distinct
+    with open(path, "wb") as fh:
+        fh.write(b"{")
+        for lo in range(0, u, _WRITE_BLOCK):
+            hi = min(lo + _WRITE_BLOCK, u)
+            value = dataset.key_counts[lo:hi]
+            digits = 1 + np.searchsorted(_POWERS_OF_TEN, value, side="right")
+            d = int(digits.max())
+            # a row: the quoted key, a colon, d digit columns and a comma
+            record = np.empty((hi - lo, n + 4 + d), dtype=np.uint8)
+            record[:, [0, n + 1]] = ord('"')
+            record[:, n + 2] = ord(":")
+            record[:, -1] = ord(",")
+            np.add(_unpack_bits(dataset.keys[lo:hi], n), ord("0"), out=record[:, 1:n + 1])
+            for col in range(n + 2 + d, n + 2, -1):
+                value, digit = np.divmod(value, 10)
+                np.add(digit, ord("0"), out=record[:, col], casting="unsafe")
+            keep = np.ones(record.shape, dtype=bool)
+            keep[:, n + 3:n + 3 + d] = np.arange(d - 1, -1, -1) < digits[:, None]
+            out = record[keep]
+            if hi == u:
+                out[-1] = ord("}")
+            fh.write(out)
+        fh.write(b"\n")

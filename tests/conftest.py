@@ -48,6 +48,17 @@ def naive_support_counts(dataset: ShotDataset, radius: int = 1) -> dict:
     return out
 
 
+def reference_save_counts(dataset: ShotDataset, path) -> None:
+    """One f-string per record: the counts writer ``save_counts`` must
+    match byte for byte."""
+    width = f"0{dataset.n}b"
+    body = ",".join(
+        f'"{format(v, width)}":{c}'
+        for v, c in zip(dataset._values(), dataset.key_counts.tolist())
+    )
+    Path(path).write_text("{" + body + "}\n", encoding="utf-8")
+
+
 def direct_component_prob(y: BitString, x: BitString, eps: np.ndarray) -> float:
     """Eq.-by-eq product form, no log-space tricks. Only safe for small n."""
     p = 1.0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -231,6 +232,21 @@ class TestGenerate:
         assert (tmp_path / "a.json.truth.json").read_bytes() == (
             tmp_path / "b.json.truth.json"
         ).read_bytes()
+
+    @pytest.mark.parametrize("flags, counts_sha, truth_sha", [
+        (["--n", "20", "--k", "4", "--s", "100000", "--seed", "11"],
+         "23c8f56b6ca00e11dd205890322451aa2f5d248566d1bfa06c7a0b36d304d007",
+         "4c7503f934932d9cdc33470f8cf8894597d33a52e0a6b65670cefad4fac20c23"),
+        (["--n", "128", "--k", "4", "--s", "20000", "--seed", "12"],
+         "8691f402615a804cac0a07f75e7c6f14ae6956b5ddb645d0b7caa3c6fd7e21ee",
+         "d68243c3691dd5c32a8228d06240a521bbf02b04da62332ca614c3ee0fd190bc"),
+    ], ids=["n20", "n128"])
+    def test_golden_bytes(self, capsys, tmp_path, flags, counts_sha, truth_sha):
+        # a seed's files are the same bytes on every version of the writer
+        out = tmp_path / "data.json"
+        assert run(capsys, "generate", *flags, "--out", str(out))[0] == 0
+        for path, sha in ((out, counts_sha), (tmp_path / "data.json.truth.json", truth_sha)):
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
 
     def test_unseeded_prints_effective_seed(self, tmp_path, caplog, capsys):
         import logging

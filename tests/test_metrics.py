@@ -8,12 +8,10 @@ from qem_mix.emcore import MixtureModel
 from qem_mix.errors import DimensionError, NormalizationError
 from qem_mix.metrics import (
     ber,
-    empirical_distribution,
     hellinger_fidelity,
-    k_error_rate,
     model_to_distribution,
 )
-from qem_mix.shotdata import BitString, ShotDataset, hamming_distance
+from qem_mix.shotdata import BitString, hamming_distance
 
 from conftest import random_bitstring, run_python
 
@@ -93,18 +91,6 @@ class TestBer:
             ber([], [B("00")], 2)
 
 
-class TestKErrorRate:
-    def test_all_correct(self):
-        assert k_error_rate([(2, 2), (4, 4)]) == 0.0
-
-    def test_one_in_four(self):
-        assert k_error_rate([(2, 2), (4, 4), (6, 6), (8, 7)]) == 0.25
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            k_error_rate([])
-
-
 class TestHellingerFidelity:
     def test_identical(self):
         p = {"00": 0.25, "01": 0.75}
@@ -171,9 +157,8 @@ class TestModelDistribution:
         assert model_to_distribution(model) == {"00": 1.0}
 
     def test_fidelity_against_noiseless_empirical(self):
-        ds = ShotDataset([B("00")] * 3 + [B("11")] * 1)
         model = MixtureModel(
             (B("00"), B("11")), np.array([0.75, 0.25]), np.array([0.1, 0.1])
         )
-        fid = hellinger_fidelity(model_to_distribution(model), empirical_distribution(ds))
+        fid = hellinger_fidelity(model_to_distribution(model), {"00": 0.75, "11": 0.25})
         assert fid == pytest.approx(1.0)

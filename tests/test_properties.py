@@ -3,6 +3,7 @@ types, the numpy counts reader agrees with the JSON one, and EM keeps its
 invariants on arbitrary small data."""
 
 import json
+import random
 from unittest import mock
 
 import numpy as np
@@ -15,8 +16,10 @@ from qem_mix import shotdata
 from qem_mix.emcore import EmConfig, load_model, run_em
 from qem_mix.errors import DegenerateModelError, QemError
 from qem_mix.harness import load_sweep_config
-from qem_mix.shotdata import ShotDataset, load_counts, load_shots_text
+from qem_mix.shotdata import ShotDataset, load_counts, load_shots_text, save_counts
 from qem_mix.synth import load_ground_truth
+
+from conftest import reference_save_counts
 
 LOADERS = [load_counts, load_shots_text, load_model, load_ground_truth, load_sweep_config]
 
@@ -187,6 +190,41 @@ def test_canonical_reader_ignores_block_size(scratch, data, block):
     whole = shotdata._read_canonical_counts(scratch)
     with mock.patch.object(shotdata, "_SCAN_BLOCK", block):
         assert shotdata._read_canonical_counts(scratch) == whole
+
+
+@st.composite
+def count_tables(draw):
+    """A dataset of 1 to 130 bits, given as 1 to 300 distinct keys and
+    counts whose sum is below 2**63; the widest count has 1 to 19 digits."""
+    n = draw(st.integers(1, 130) | st.sampled_from([1, 63, 64, 65, 127, 128, 130]))
+    bits = random.Random(draw(st.integers(0, 2**32 - 1)))
+    # 19-digit counts need u <= 9
+    size = draw(st.integers(1, 9) | st.integers(10, 99) | st.integers(100, 300))
+    values = {bits.getrandbits(n) for _ in range(size)}
+    values = sorted(values | set(draw(st.sets(st.sampled_from([0, (1 << n) - 1])))))
+    u, w = len(values), -(-n // 64)
+    widest = min(10 ** draw(st.integers(1, 19) | st.just(19)) - 1, (2**63 - 1) // u)
+    counts = [draw(st.integers(1, widest)) for _ in values]
+    counts[draw(st.integers(0, u - 1))] = widest
+    keys = [[(v >> (64 * (w - 1 - i))) & (2**64 - 1) for i in range(w)] for v in values]
+    return ShotDataset._make(n, np.array(keys, dtype=np.uint64), np.array(counts, dtype=np.int64))
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, shotdata._WRITE_BLOCK])
+@settings(max_examples=40)
+@given(dataset=count_tables())
+def test_save_counts_writes_the_reference_bytes(scratch, block, dataset):
+    """The numpy writer gives the f-string writer's bytes at any block size,
+    and the file loads back as the same dataset: through the numpy reader
+    when every count has at most 18 digits, through the JSON one if not."""
+    reference = scratch.with_name("reference.json")
+    reference_save_counts(dataset, reference)
+    with mock.patch.object(shotdata, "_WRITE_BLOCK", block):
+        save_counts(dataset, scratch)
+    assert scratch.read_bytes() == reference.read_bytes()
+    fast = shotdata._read_canonical_counts(scratch)
+    assert fast == (dataset if dataset.key_counts.max() < 10**18 else None)
+    assert load_counts(scratch) == dataset
 
 
 @settings(max_examples=60)

@@ -115,6 +115,26 @@ class TestShotDataset:
         assert list(counts) == [1, 2]
 
 
+def padded_pack_bits(bits):
+    """The packer ``_pack_bits`` replaced: every row padded to whole words."""
+    s, n = bits.shape
+    padded = np.zeros((s, n + (-n) % 64), dtype=np.uint8)
+    padded[:, (-n) % 64:] = bits
+    return np.packbits(padded, axis=1).view(">u8").astype(np.uint64)
+
+
+class TestPackBits:
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 127, 128, 130])
+    def test_matches_word_padded_packer(self, rng, n):
+        bits = rng.integers(0, 2, size=(40, n), dtype=np.uint8)
+        bits[0], bits[1] = 0, 1
+        for layout in (bits, np.asfortranarray(bits)):
+            keys = shotdata._pack_bits(layout)
+            assert keys.dtype == np.uint64 and keys.shape == (40, -(-n // 64))
+            assert np.array_equal(keys, padded_pack_bits(bits))
+        assert np.array_equal(shotdata._unpack_bits(keys, n), bits)
+
+
 class TestShotsTextIO:
     def test_load(self, tmp_path):
         path = tmp_path / "shots.txt"

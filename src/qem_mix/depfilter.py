@@ -22,13 +22,23 @@ counts into a dense 2**n table and gathers each key's n neighbours with
 one XOR per bit: O(2**n + n * U). Otherwise it sets each clear bit of
 every key and looks the result up by binary search over the sorted keys:
 O(n * U log U). Wider radii compare all pairs of distinct strings with
-blocked Gram products: O(U**2 * n) arithmetic in bounded memory. Shots are
-kept with one boolean mask over the distinct strings.
+Gram products over cache-sized tiles of the upper triangle: O(U**2 * n)
+arithmetic in bounded memory, spread over the process's CPUs by threads.
+The thread count is worked out from the process (``_gram_threads``): one in
+a ``multiprocessing`` child, else the CPUs it may use divided by the threads
+BLAS was told to use, so processes x threads stays within the CPUs. Shots
+are kept with one boolean mask over the distinct strings.
 """
 
 from __future__ import annotations
 
+import logging
 import math
+import multiprocessing
+import os
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -48,8 +58,10 @@ __all__ = [
     "filter_dataset",
 ]
 
-# Entries computed per block by the support passes: Gram entries at radius
-# r > 1 (4 MiB of float32), table lookups at radius 1.
+log = logging.getLogger("qem_mix.depfilter")
+
+# Entries computed per block by the support passes: table lookups at radius
+# 1; at radius r > 1 a Gram tile holds a quarter as many (1 MiB of float32).
 _BLOCK_ENTRIES = 1 << 20
 # Radius-1 support uses a dense 2**n count table when it has at most this
 # many entries per distinct string (64 bytes each as int32).
@@ -125,7 +137,7 @@ def _support(dataset: ShotDataset, radius: int) -> np.ndarray:
     rows that share those words with another row are searched.
     """
     if radius > 1:
-        return _support_within(dataset, radius)
+        return _support_within(dataset, radius, _gram_threads())
     keys, cnt = dataset.keys, dataset.key_counts
     w = keys.shape[1]
     f = cnt.copy()
@@ -170,14 +182,44 @@ def _sortable(keys: np.ndarray) -> np.ndarray:
     return keys.astype(">u8").view(f"V{8 * keys.shape[1]}")[:, 0]
 
 
-def _support_within(dataset: ShotDataset, radius: int) -> np.ndarray:
-    """Radius-r support by blocked Gram products over the distinct strings.
+def _gram_threads() -> int:
+    """Threads for the radius-r Gram pass, from what the process observes.
+
+    One inside a ``multiprocessing`` child, so a pool's workers stay at one
+    thread each. Otherwise the CPUs this process may run on, divided by the
+    threads BLAS was told to use: the first positive integer among
+    ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS``,
+    else all of them (BLAS then threads each product itself). At least one.
+    """
+    if multiprocessing.parent_process() is not None:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    blas = cpus
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        value = os.environ.get(name, "").strip()
+        if value.isdigit() and int(value) > 0:
+            blas = int(value)
+            break
+    return max(1, cpus // blas)
+
+
+def _support_within(dataset: ShotDataset, radius: int, threads: int) -> np.ndarray:
+    """Radius-r support by tiled Gram products over the distinct strings.
 
     With bits mapped to +-1, z_i . z_j = n - 2*d(i, j), so d <= r is one
-    comparison per Gram entry. Each block of rows is multiplied only with
-    itself and the rows after it; the block's off-diagonal part is credited
-    to both sides. The block is the narrow side of the product, which keeps
-    BLAS from re-packing the wide side once per block.
+    comparison per Gram entry. The upper triangle of the U x U Gram matrix
+    is cut into square tiles of side isqrt(_BLOCK_ENTRIES / 4) (512: 1 MiB
+    of float32, which stays in L2), each one product into a buffer reused
+    tile after tile; an off-diagonal tile is credited to both of its sides.
+    Row bands of tiles are handed out to ``threads`` workers in order, and
+    numpy releases the GIL inside each product. Every worker keeps its own
+    buffer and float64 partial support (memory: threads x 1 MiB plus
+    threads x U float64), and the partials are summed in worker order. All
+    values are exact integers, so the result does not depend on which
+    worker took which band.
     """
     u, n = dataset.distinct, dataset.n
     # Gram entries and count sums are integers, exact in float32 up to 2**24.
@@ -187,15 +229,34 @@ def _support_within(dataset: ShotDataset, radius: int) -> np.ndarray:
     z *= -2
     z += 1
     bound = n - 2 * radius
-    rows = max(1, _BLOCK_ENTRIES // u)
-    f = np.zeros(u, dtype=np.float64)
-    for a in range(0, u, rows):
-        b = min(a + rows, u)
-        within = z[a:] @ z[a:b].T
-        np.greater_equal(within, bound, out=within)
-        f[a:b] += cnt[a:] @ within
-        f[b:] += within[b - a:] @ cnt[a:b]
-    return f.astype(np.int64)
+    side = max(1, math.isqrt(_BLOCK_ENTRIES // 4))
+    bands = iter(range(0, u, side))
+    lock = threading.Lock()
+
+    def work() -> np.ndarray:
+        part = np.zeros(u, dtype=np.float64)
+        buf = np.empty((side, side), dtype=dtype)
+        while True:
+            with lock:
+                a = next(bands, None)
+            if a is None:
+                return part
+            b = min(a + side, u)
+            for c in range(a, u, side):
+                d = min(c + side, u)
+                tile = np.matmul(z[a:b], z[c:d].T, out=buf[:b - a, :d - c])
+                np.greater_equal(tile, bound, out=tile)
+                part[a:b] += tile @ cnt[c:d]
+                if c > a:
+                    part[c:d] += cnt[a:b] @ tile
+
+    workers = min(threads, -(-u // side))
+    if workers == 1:
+        return work().astype(np.int64)
+    with ThreadPoolExecutor(workers) as pool:
+        futures = [pool.submit(work) for _ in range(workers)]
+        parts = [future.result() for future in futures]
+    return sum(parts[1:], parts[0]).astype(np.int64)
 
 
 def _ball(n: int, radius: int) -> int:
@@ -314,7 +375,10 @@ def filter_dataset(
         radius = select_radius(s, n, config)
         if radius > 1:
             t = compute_threshold(s, n, config, radius)
-            support = _support(dataset, radius)
+            u, threads, start = dataset.distinct, _gram_threads(), time.perf_counter()
+            support = _support_within(dataset, radius, threads)
+            log.debug("radius %d support: U=%d, %d pairs compared on %d thread(s) in %.3f s",
+                      radius, u, u * (u - 1) // 2, threads, time.perf_counter() - start)
             keep = support >= t
     if not keep.any():
         raise AllFilteredError(

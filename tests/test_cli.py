@@ -248,6 +248,23 @@ class TestGenerate:
         for path, sha in ((out, counts_sha), (tmp_path / "data.json.truth.json", truth_sha)):
             assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_golden_bytes_of_a_widened_filter(self, capsys, tmp_path, monkeypatch, threads):
+        # n=128, U=2000: the radius-35 Gram pass spans four tiles a side
+        from qem_mix import depfilter
+        monkeypatch.setattr(depfilter, "_gram_threads", lambda: threads)
+        monkeypatch.chdir(tmp_path)  # the model records its input's path
+        assert run(capsys, "generate", "--n", "128", "--k", "4", "--s", "2000",
+                   "--seed", "13", "--out", "d.json")[0] == 0
+        assert run(capsys, "mitigate", "d.json", "--seed", "14", "--model-out", "m.json")[0] == 0
+        assert run(capsys, "filter", "d.json", "--out", "f.json")[0] == 0
+        assert load_counts("d.json").distinct == 2000
+        for name, sha in (
+            ("m.json", "53c35c71f99c5d364028cbc7cb280bad0f6da07bd827901e63f8df974ac6ca6e"),
+            ("f.json", "15a377228c51faa7e42b0b47e0f12f948680bab194c64d9d56f57abf035f6338"),
+        ):
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == sha
+
     def test_unseeded_prints_effective_seed(self, tmp_path, caplog, capsys):
         import logging
         with caplog.at_level(logging.INFO, logger="qem_mix"):

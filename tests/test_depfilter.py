@@ -1,4 +1,9 @@
+import logging
 import math
+import multiprocessing
+import os
+import threading
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -129,6 +134,123 @@ class TestSupportCounts:
     def test_radius_below_one_rejected(self):
         with pytest.raises(ValueError):
             support_counts(ShotDataset([B("01")]), 0)
+
+
+def _distinct_dataset(rng, n, u, repeat=True):
+    """U distinct n-bit strings (n <= 64), some of them repeated."""
+    values = np.sort(rng.choice(1 << n, size=u, replace=False)).astype(np.uint64)
+    counts = rng.integers(1, 4, size=u) if repeat else np.ones(u, dtype=np.int64)
+    return ShotDataset._make(n, values[:, None], counts.astype(np.int64))
+
+
+class TestGramTiles:
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("u", [1, 3, 4, 8, 10, 17])
+    def test_tiles_match_brute_force(self, rng, monkeypatch, threads, u):
+        # tiles of side 4: U below, at, a multiple of and off the tile side
+        monkeypatch.setattr(depfilter, "_BLOCK_ENTRIES", 4 * 4 * 4)
+        monkeypatch.setattr(depfilter, "_gram_threads", lambda: threads)
+        ds = _distinct_dataset(rng, 10, u)
+        before = threading.active_count()
+        for radius in (2, 4, 10):
+            assert support_counts(ds, radius) == naive_support_counts(ds, radius)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_float64_branch_above_float32_range(self, monkeypatch, threads):
+        # S > 2**24 from a few large odd counts, which float32 cannot hold
+        monkeypatch.setattr(depfilter, "_BLOCK_ENTRIES", 4 * 2 * 2)
+        monkeypatch.setattr(depfilter, "_gram_threads", lambda: threads)
+        keys = np.array([[0b000000], [0b000011], [0b001111], [0b111111], [0b110000]],
+                        dtype=np.uint64)
+        counts = np.array([(1 << 24) + 1, 3, (1 << 23) + 7, 5, (1 << 24) + 9])
+        ds = ShotDataset._make(6, keys, counts)
+        assert ds.s > 1 << 24
+        for radius in (2, 3, 4):
+            assert support_counts(ds, radius) == naive_support_counts(ds, radius)
+
+    def test_worker_exception_reaches_the_caller(self, rng, monkeypatch):
+        # the second tile product fails; the other worker's partial support
+        # must not be returned in its place
+        monkeypatch.setattr(depfilter, "_BLOCK_ENTRIES", 4 * 3 * 3)
+        monkeypatch.setattr(depfilter, "_gram_threads", lambda: 2)
+        calls, lock = [], threading.Lock()
+
+        def matmul(*args, **kwargs):
+            with lock:
+                calls.append(threading.current_thread())
+                if len(calls) == 2:
+                    raise RuntimeError("tile failed")
+            return np.matmul(*args, **kwargs)
+
+        class Numpy:
+            def __getattr__(self, name):
+                return matmul if name == "matmul" else getattr(np, name)
+
+        monkeypatch.setattr(depfilter, "np", Numpy())
+        ds = _distinct_dataset(rng, 10, 20)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="tile failed"):
+            support_counts(ds, 3)
+        assert calls[1] is not threading.main_thread()
+        assert threading.active_count() == before
+
+
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+class TestGramThreads:
+    @pytest.fixture
+    def env(self, monkeypatch):
+        for name in _THREAD_VARS:
+            monkeypatch.delenv(name, raising=False)
+        return monkeypatch
+
+    def test_no_blas_variable_leaves_threading_to_blas(self, env):
+        assert depfilter._gram_threads() == 1
+
+    @pytest.mark.parametrize("name", _THREAD_VARS)
+    def test_one_blas_thread_uses_every_cpu(self, env, name):
+        env.setenv(name, "1")
+        assert depfilter._gram_threads() == len(os.sched_getaffinity(0))
+
+    def test_first_valid_variable_wins(self, env):
+        env.setenv("OPENBLAS_NUM_THREADS", "two")
+        env.setenv("OMP_NUM_THREADS", "0")
+        env.setenv("MKL_NUM_THREADS", "1")
+        assert depfilter._gram_threads() == len(os.sched_getaffinity(0))
+        env.setenv("OMP_NUM_THREADS", "2")
+        env.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3, 4})
+        assert depfilter._gram_threads() == 2
+
+    @pytest.mark.parametrize("value", ["abc", "", "-1", "0", "1.5"])
+    def test_non_integer_counts_as_unset(self, env, value):
+        env.setenv("OPENBLAS_NUM_THREADS", value)
+        assert depfilter._gram_threads() == 1
+
+    def test_never_above_the_affinity_mask(self, env):
+        env.setenv("OPENBLAS_NUM_THREADS", "1")
+        env.setattr(os, "cpu_count", lambda: 64)
+        env.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert depfilter._gram_threads() == 1
+        env.setattr(os, "sched_getaffinity", lambda pid: {3, 5, 7})
+        assert depfilter._gram_threads() == 3
+        env.setenv("OPENBLAS_NUM_THREADS", "8")
+        assert depfilter._gram_threads() == 1
+
+    def test_cpu_count_without_an_affinity_mask(self, env):
+        env.delattr(os, "sched_getaffinity", raising=False)
+        env.setattr(os, "cpu_count", lambda: 6)
+        env.setenv("OMP_NUM_THREADS", "2")
+        assert depfilter._gram_threads() == 3
+
+    @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+    def test_one_thread_in_a_pool_worker(self, env, method):
+        # one BLAS thread would give every CPU to a parent process
+        env.setenv("OPENBLAS_NUM_THREADS", "1")
+        context = multiprocessing.get_context(method)
+        with ProcessPoolExecutor(1, mp_context=context) as pool:
+            assert pool.submit(depfilter._gram_threads).result(timeout=120) == 1
 
 
 class TestComputeThreshold:
@@ -341,6 +463,23 @@ class TestRadiusWidening:
         assert report.threshold_used == compute_threshold(4, 64, config, report.radius)
         assert {x.text for x in report.kept.counts} == set(WIDE_CLUSTER)
         assert report.support_counts == naive_support_counts(ds, report.radius)
+
+    def test_widened_pass_logs_its_work(self, caplog):
+        ds = ShotDataset([B(x) for x in [WIDE_A] + WIDE_CLUSTER])
+        with caplog.at_level(logging.DEBUG, logger="qem_mix"):
+            report = filter_dataset(ds, FilterConfig(eta=1.5, t_floor=3))
+        lines = [r for r in caplog.records if r.name.startswith("qem_mix")]
+        assert len(lines) == 1 and lines[0].levelno == logging.DEBUG
+        message = lines[0].getMessage()
+        assert message.startswith(f"radius {report.radius} support: U=4, 6 pairs compared on ")
+        assert f" {depfilter._gram_threads()} thread(s) in " in message
+        assert message.endswith(" s")
+
+    def test_radius_one_pass_logs_nothing(self, caplog):
+        ds = ShotDataset([B("00")] * 3 + [B("01")] * 2)
+        with caplog.at_level(logging.DEBUG, logger="qem_mix"):
+            filter_dataset(ds, FilterConfig(eta=1.0))
+        assert not caplog.records
 
     def test_distance_one_neighbor_keeps_radius_one(self):
         near_a = "0" * 63 + "1"

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from qem_mix import depfilter
 from qem_mix.cli import dispatch
 from qem_mix.shotdata import load_counts
 
@@ -251,7 +252,6 @@ class TestGenerate:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_golden_bytes_of_a_widened_filter(self, capsys, tmp_path, monkeypatch, threads):
         # n=128, U=2000: the radius-35 Gram pass spans four tiles a side
-        from qem_mix import depfilter
         monkeypatch.setattr(depfilter, "_gram_threads", lambda: threads)
         monkeypatch.chdir(tmp_path)  # the model records its input's path
         assert run(capsys, "generate", "--n", "128", "--k", "4", "--s", "2000",

@@ -2,6 +2,7 @@ import logging
 import math
 import multiprocessing
 import os
+import sys
 import threading
 from concurrent.futures import ProcessPoolExecutor
 
@@ -136,11 +137,22 @@ class TestSupportCounts:
             support_counts(ShotDataset([B("01")]), 0)
 
 
-def _distinct_dataset(rng, n, u, repeat=True):
+def _distinct_dataset(rng, n, u):
     """U distinct n-bit strings (n <= 64), some of them repeated."""
     values = np.sort(rng.choice(1 << n, size=u, replace=False)).astype(np.uint64)
-    counts = rng.integers(1, 4, size=u) if repeat else np.ones(u, dtype=np.int64)
-    return ShotDataset._make(n, values[:, None], counts.astype(np.int64))
+    counts = rng.integers(1, 4, size=u)
+    counts[0] = 3
+    return ShotDataset._make(n, values[:, None], counts)
+
+
+class _NumpyWith:
+    """numpy with ``matmul`` replaced, to hook the Gram pass's products."""
+
+    def __init__(self, matmul):
+        self.matmul = matmul
+
+    def __getattr__(self, name):
+        return getattr(np, name)
 
 
 class TestGramTiles:
@@ -169,6 +181,38 @@ class TestGramTiles:
         for radius in (2, 3, 4):
             assert support_counts(ds, radius) == naive_support_counts(ds, radius)
 
+    def test_every_worker_sums_its_bands(self, rng, monkeypatch):
+        # each worker's first product waits for the others, so every worker
+        # holds a band and every partial support must reach the result
+        monkeypatch.setattr(depfilter, "_BLOCK_ENTRIES", 4 * 4 * 4)
+        monkeypatch.setattr(depfilter, "_gram_threads", lambda: 3)
+        barrier, seen = threading.Barrier(3), set()
+
+        def matmul(*args, **kwargs):
+            if threading.get_ident() not in seen:
+                seen.add(threading.get_ident())
+                barrier.wait(timeout=60)
+            return np.matmul(*args, **kwargs)
+
+        monkeypatch.setattr(depfilter, "np", _NumpyWith(matmul))
+        ds = _distinct_dataset(rng, 10, 17)
+        assert support_counts(ds, 4) == naive_support_counts(ds, 4)
+        assert len(seen) == 3
+
+    def test_more_threads_than_cpus_with_fast_switching(self, rng, monkeypatch):
+        # a band taken twice or skipped would change some support
+        monkeypatch.setattr(depfilter, "_BLOCK_ENTRIES", 4 * 2 * 2)
+        monkeypatch.setattr(depfilter, "_gram_threads", lambda: 8)
+        ds = _distinct_dataset(rng, 12, 60)
+        expected = naive_support_counts(ds, 5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert support_counts(ds, 5) == expected
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_worker_exception_reaches_the_caller(self, rng, monkeypatch):
         # the second tile product fails; the other worker's partial support
         # must not be returned in its place
@@ -183,11 +227,7 @@ class TestGramTiles:
                     raise RuntimeError("tile failed")
             return np.matmul(*args, **kwargs)
 
-        class Numpy:
-            def __getattr__(self, name):
-                return matmul if name == "matmul" else getattr(np, name)
-
-        monkeypatch.setattr(depfilter, "np", Numpy())
+        monkeypatch.setattr(depfilter, "np", _NumpyWith(matmul))
         ds = _distinct_dataset(rng, 10, 20)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="tile failed"):
@@ -211,16 +251,17 @@ class TestGramThreads:
 
     @pytest.mark.parametrize("name", _THREAD_VARS)
     def test_one_blas_thread_uses_every_cpu(self, env, name):
+        env.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         env.setenv(name, "1")
-        assert depfilter._gram_threads() == len(os.sched_getaffinity(0))
+        assert depfilter._gram_threads() == 4
 
     def test_first_valid_variable_wins(self, env):
+        env.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3, 4}, raising=False)
         env.setenv("OPENBLAS_NUM_THREADS", "two")
         env.setenv("OMP_NUM_THREADS", "0")
         env.setenv("MKL_NUM_THREADS", "1")
-        assert depfilter._gram_threads() == len(os.sched_getaffinity(0))
+        assert depfilter._gram_threads() == 5
         env.setenv("OMP_NUM_THREADS", "2")
-        env.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3, 4})
         assert depfilter._gram_threads() == 2
 
     @pytest.mark.parametrize("value", ["abc", "", "-1", "0", "1.5"])
@@ -231,9 +272,9 @@ class TestGramThreads:
     def test_never_above_the_affinity_mask(self, env):
         env.setenv("OPENBLAS_NUM_THREADS", "1")
         env.setattr(os, "cpu_count", lambda: 64)
-        env.setattr(os, "sched_getaffinity", lambda pid: {0})
+        env.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert depfilter._gram_threads() == 1
-        env.setattr(os, "sched_getaffinity", lambda pid: {3, 5, 7})
+        env.setattr(os, "sched_getaffinity", lambda pid: {3, 5, 7}, raising=False)
         assert depfilter._gram_threads() == 3
         env.setenv("OPENBLAS_NUM_THREADS", "8")
         assert depfilter._gram_threads() == 1

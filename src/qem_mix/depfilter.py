@@ -214,12 +214,12 @@ def _support_within(dataset: ShotDataset, radius: int, threads: int) -> np.ndarr
     is cut into square tiles of side isqrt(_BLOCK_ENTRIES / 4) (512: 1 MiB
     of float32, which stays in L2), each one product into a buffer reused
     tile after tile; an off-diagonal tile is credited to both of its sides.
-    Row bands of tiles are handed out to ``threads`` workers in order, and
-    numpy releases the GIL inside each product. Every worker keeps its own
-    buffer and float64 partial support (memory: threads x 1 MiB plus
-    threads x U float64), and the partials are summed in worker order. All
-    values are exact integers, so the result does not depend on which
-    worker took which band.
+    Row bands of tiles are handed out in order to ``threads`` workers (the
+    count ``_gram_threads`` gives), and numpy releases the GIL inside each
+    product. Every worker keeps its own buffer and float64 partial support
+    (memory: threads x 1 MiB plus threads x U float64), and the partials
+    are summed in worker order. All values are exact integers, so the
+    result does not depend on which worker took which band.
     """
     u, n = dataset.distinct, dataset.n
     # Gram entries and count sums are integers, exact in float32 up to 2**24.

@@ -11,6 +11,7 @@ import argparse
 import json
 import logging
 import os
+import random
 import sys
 
 import numpy as np
@@ -138,7 +139,7 @@ def _effective_seed(args, sub_seed) -> int:
         return sub_seed
     if args.master_seed is not None:
         return args.master_seed
-    seed = int.from_bytes(os.urandom(4), "little")
+    seed = random.SystemRandom().getrandbits(32)
     log.info("no seed given; using OS entropy seed %d", seed)
     return seed
 

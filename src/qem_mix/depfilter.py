@@ -46,7 +46,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import AllFilteredError
-from .shotdata import ShotDataset
+from .shotdata import ShotDataset, _sortable
 
 __all__ = [
     "FilterConfig",
@@ -153,9 +153,9 @@ def _support(dataset: ShotDataset, radius: int) -> np.ndarray:
     for i in range(w):
         rows = np.arange(len(keys))
         if w > 1:
-            _, group, size = np.unique(np.delete(keys, i, axis=1), axis=0,
+            _, group, size = np.unique(_sortable(np.delete(keys, i, axis=1)),
                                        return_inverse=True, return_counts=True)
-            rows = np.flatnonzero(size[group.reshape(-1)] > 1)
+            rows = np.flatnonzero(size[group] > 1)
             if not rows.size:
                 continue
         sub, ref = keys[rows], _sortable(keys[rows])
@@ -172,14 +172,6 @@ def _support(dataset: ShotDataset, radius: int) -> np.ndarray:
             f[a] += cnt[c]
             f[c] += cnt[a]
     return f
-
-
-def _sortable(keys: np.ndarray) -> np.ndarray:
-    """One comparable item per key row, ordered as the rows: the word itself
-    for n <= 64, else the row's big-endian bytes."""
-    if keys.shape[1] == 1:
-        return keys[:, 0]
-    return keys.astype(">u8").view(f"V{8 * keys.shape[1]}")[:, 0]
 
 
 def _gram_threads() -> int:
@@ -219,9 +211,10 @@ def _support_within(dataset: ShotDataset, radius: int, threads: int) -> np.ndarr
     product. Every worker keeps its own buffer and float64 partial support
     (memory: threads x 1 MiB plus threads x U float64), and the partials
     are summed in worker order. All values are exact integers, so the
-    result does not depend on which worker took which band.
+    result does not depend on which worker took which band. Each pass logs
+    one debug line: the radius, U, pairs compared, threads and seconds.
     """
-    u, n = dataset.distinct, dataset.n
+    u, n, start = dataset.distinct, dataset.n, time.perf_counter()
     # Gram entries and count sums are integers, exact in float32 up to 2**24.
     dtype = np.float32 if max(dataset.s, n) <= 1 << 24 else np.float64
     cnt = dataset.key_counts.astype(dtype)
@@ -251,11 +244,11 @@ def _support_within(dataset: ShotDataset, radius: int, threads: int) -> np.ndarr
                     part[c:d] += cnt[a:b] @ tile
 
     workers = min(threads, -(-u // side))
-    if workers == 1:
-        return work().astype(np.int64)
     with ThreadPoolExecutor(workers) as pool:
         futures = [pool.submit(work) for _ in range(workers)]
         parts = [future.result() for future in futures]
+    log.debug("radius %d support: U=%d, %d pairs compared on %d thread(s) in %.3f s",
+              radius, u, u * (u - 1) // 2, threads, time.perf_counter() - start)
     return sum(parts[1:], parts[0]).astype(np.int64)
 
 
@@ -375,10 +368,7 @@ def filter_dataset(
         radius = select_radius(s, n, config)
         if radius > 1:
             t = compute_threshold(s, n, config, radius)
-            u, threads, start = dataset.distinct, _gram_threads(), time.perf_counter()
-            support = _support_within(dataset, radius, threads)
-            log.debug("radius %d support: U=%d, %d pairs compared on %d thread(s) in %.3f s",
-                      radius, u, u * (u - 1) // 2, threads, time.perf_counter() - start)
+            support = _support(dataset, radius)
             keep = support >= t
     if not keep.any():
         raise AllFilteredError(

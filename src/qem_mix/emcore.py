@@ -19,16 +19,15 @@ n=128 they underflow any fixed-precision float).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .errors import DegenerateModelError, DimensionError, InvalidModelError
-from .shotdata import BitString, ShotDataset, _parse_fields, _read_json_object
+from .shotdata import (BitString, ShotDataset, _bits_strings, _parse_fields,
+                       _read_json_object, _strings_bits, _write_json_object)
 
 __all__ = [
     "MixtureModel",
@@ -158,10 +157,6 @@ class EmReport:
 # or fold S -> U rows with np.add.at, and call the same kernels.
 
 
-def _bits_matrix(strings) -> np.ndarray:
-    return np.stack([s.bits() for s in strings]).astype(np.uint8)
-
-
 def _rows(dataset: ShotDataset):
     """Distinct rows as floats (U x n) and their counts as float weights."""
     return (dataset.distinct_bits().astype(np.float64),
@@ -208,7 +203,7 @@ def _posterior(dataset: ShotDataset, model: MixtureModel):
     if model.k_nz == 0:
         raise InvalidModelError("all mixing weights are zero")
     yf, c = _rows(dataset)
-    w, lse = _softmax_rows(_log_joint(yf, _bits_matrix(model.x), model.alpha, model.eps))
+    w, lse = _softmax_rows(_log_joint(yf, _strings_bits(model.x), model.alpha, model.eps))
     return w, lse, c
 
 
@@ -292,14 +287,14 @@ def _fold(dataset: ShotDataset, w: np.ndarray) -> np.ndarray:
 def m_step_x(dataset: ShotDataset, w: np.ndarray) -> list:
     """Per-component weighted majority vote; exact ties resolve to bit 1."""
     bits, _ = _m_step(_rows(dataset)[0], _fold(dataset, w), dataset.s)
-    return [BitString.from_bits(row) for row in bits]
+    return _bits_strings(bits)
 
 
 def m_step_eps(dataset: ShotDataset, w: np.ndarray, x_new) -> np.ndarray:
     """Responsibility-weighted mismatch fraction per bit, clamped away from
     0 and 0.5 to keep the log-space kernels finite."""
     yf, wc = _rows(dataset)[0], _fold(dataset, w)
-    return _m_step(yf, wc, dataset.s, _bits_matrix(x_new))[1]
+    return _m_step(yf, wc, dataset.s, _strings_bits(x_new))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +316,8 @@ def kmeanspp_init(dataset: ShotDataset, k_max: int, seed: int) -> list:
     bits = dataset.distinct_bits()
     weights = dataset.key_counts.astype(np.float64)
 
-    centers = []
     first = int(rng.choice(u, p=weights / weights.sum()))
-    centers.append(BitString.from_bits(bits[first]))
+    centers = [bits[first]]
     d_min = (bits ^ bits[first]).sum(axis=1, dtype=np.int64)
 
     while len(centers) < k_max:
@@ -333,13 +327,13 @@ def kmeanspp_init(dataset: ShotDataset, k_max: int, seed: int) -> list:
             # Every distinct string is already a center.
             break
         idx = int(rng.choice(u, p=prob / total))
-        centers.append(BitString.from_bits(bits[idx]))
+        centers.append(bits[idx])
         d_new = (bits ^ bits[idx]).sum(axis=1, dtype=np.int64)
         np.minimum(d_min, d_new, out=d_min)
 
     while len(centers) < k_max:
-        centers.append(BitString.from_bits(rng.integers(0, 2, size=n, dtype=np.uint8)))
-    return centers
+        centers.append(rng.integers(0, 2, size=n, dtype=np.uint8))
+    return _bits_strings(np.stack(centers))
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +358,7 @@ def run_em_fixed_k(
     yf, c = _rows(dataset)
 
     live0 = init.alpha > 0
-    xb = _bits_matrix(init.x)[live0]
+    xb = _strings_bits(init.x)[live0]
     alpha = init.alpha[live0].copy()
     alpha /= alpha.sum()
     eps = init.eps.copy()
@@ -401,9 +395,7 @@ def run_em_fixed_k(
         xb, eps = _m_step(yf, wc, s)
         updates += 1
 
-    model = MixtureModel(
-        tuple(BitString.from_bits(row) for row in xb), alpha, eps
-    )
+    model = MixtureModel(tuple(_bits_strings(xb)), alpha, eps)
     return FixedKResult(model=model, trace=trace, converged=converged, iterations=updates)
 
 
@@ -503,9 +495,7 @@ def save_model(report: EmReport, path, meta: Optional[dict] = None) -> None:
     }
     if meta:
         doc["meta"] = meta
-    Path(path).write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json_object(path, doc)
 
 
 def load_model(path):

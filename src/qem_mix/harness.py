@@ -12,7 +12,6 @@ timings.csv.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -27,7 +26,7 @@ from .depfilter import FilterConfig, FilterReport, filter_dataset
 from .emcore import EmConfig, EmReport, run_em
 from .errors import AllFilteredError
 from .metrics import ber, hellinger_fidelity, model_to_distribution
-from .shotdata import ShotDataset, _parse_fields, _read_json_object
+from .shotdata import ShotDataset, _parse_fields, _read_json_object, _write_json_object
 from .synth import (
     GroundTruth,
     NoiseSpec,
@@ -385,9 +384,7 @@ def write_summary_json(table: list, path) -> None:
             if overall_rows else None
         ),
     }
-    Path(path).write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json_object(path, doc)
 
 
 def load_sweep_config(path) -> SweepConfig:

@@ -80,12 +80,13 @@ def ber(truth: Sequence[BitString], estimate: Sequence[BitString], n: int) -> Ev
 
 
 def _check_distribution(dist: Mapping[str, float], name: str) -> None:
+    # the tests are phrased so that NaN fails them
     total = 0.0
     for key, p in dist.items():
-        if p < 0:
-            raise NormalizationError(f"{name}[{key!r}] is negative: {p}")
+        if not p >= 0:
+            raise NormalizationError(f"{name}[{key!r}] is negative or NaN: {p}")
         total += p
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:
         raise NormalizationError(f"{name} sums to {total!r}, expected 1")
 
 

@@ -10,6 +10,11 @@ Conventions used throughout the package:
   ascending order plus their counts (see ``ShotDataset``). Loading,
   filtering, EM and saving run on that form; ``BitString`` objects are
   built only for callers that ask for them.
+* Only this module knows the key layout and the key order. Its codec
+  helpers are the only encoders and decoders of the layout: ``_text_bits``,
+  ``_pack_bits``, ``_unpack_bits``, ``_key_values``, ``_strings_bits`` and
+  ``_bits_strings``; ``_sortable`` gives the key order. JSON files are read
+  and written by ``_read_json_object`` and ``_write_json_object`` alone.
 """
 
 from __future__ import annotations
@@ -18,8 +23,6 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
-from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -80,9 +83,7 @@ class BitString:
 
     def bits(self) -> np.ndarray:
         """Unpacked bits as a uint8 array of length n, index 0 = leftmost."""
-        nbytes = (self.n + 7) // 8
-        raw = np.frombuffer(self.value.to_bytes(nbytes, "big"), dtype=np.uint8)
-        return np.unpackbits(raw)[8 * nbytes - self.n:]
+        return _text_bits([self.text], self.n)[0]
 
     def __str__(self) -> str:
         return self.text
@@ -113,7 +114,7 @@ class ShotDataset:
         for i, s in enumerate(shots):
             if s.n != n:
                 raise DimensionError(f"shot {i} has {s.n} bits, expected {n}")
-        self._set(n, *_unique_rows(_pack_texts([s.text for s in shots], n)))
+        self._set(n, *_unique_rows(_pack_bits(_text_bits([s.text for s in shots], n))))
 
     @classmethod
     def _make(cls, n, keys, key_counts, order=None) -> "ShotDataset":
@@ -140,15 +141,9 @@ class ShotDataset:
         """U x n uint8 matrix of the distinct strings' bits, in key order."""
         return _unpack_bits(self.keys, self.n)
 
-    def _values(self) -> list:
-        values = self.keys[:, 0].tolist()
-        for col in self.keys.T[1:]:
-            values = [(v << 64) | c for v, c in zip(values, col.tolist())]
-        return values
-
     @cached_property
     def _strings(self) -> list:
-        return [BitString(self.n, v) for v in self._values()]
+        return [BitString(self.n, v) for v in _key_values(self.keys)]
 
     @cached_property
     def shots(self) -> tuple:
@@ -213,16 +208,9 @@ class ShotDataset:
         return f"ShotDataset(n={self.n}, s={self.s}, distinct={self.distinct})"
 
 
-def _pack_texts(texts: list, n: int) -> np.ndarray:
-    """len(texts) x W uint64 keys of validated n-character binary strings."""
-    w = -(-n // 64)
-    keys = np.empty((len(texts), w), dtype=np.uint64)
-    for i in range(w):
-        hi = n - 64 * (w - 1 - i)
-        lo = max(0, hi - 64)
-        words = map(int, map(itemgetter(slice(lo, hi)), texts), repeat(2))
-        keys[:, i] = np.fromiter(words, dtype=np.uint64, count=len(texts))
-    return keys
+def _text_bits(texts: list, n: int) -> np.ndarray:
+    """len(texts) x n uint8 bits of validated n-character binary strings."""
+    return np.frombuffer("".join(texts).encode("ascii"), np.uint8).reshape(len(texts), n) & 1
 
 
 def _pack_bits(bits: np.ndarray) -> np.ndarray:
@@ -248,13 +236,42 @@ def _unpack_bits(keys: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(raw, axis=1)[:, 8 * nbytes - n:]
 
 
+def _key_values(keys: np.ndarray) -> list:
+    """The int value of each row of U x W uint64 keys."""
+    values = keys[:, 0].tolist()
+    for col in keys.T[1:]:
+        values = [(v << 64) | c for v, c in zip(values, col.tolist())]
+    return values
+
+
+def _strings_bits(strings: Sequence[BitString]) -> np.ndarray:
+    """k x n uint8 bit matrix of k >= 1 BitStrings of one width n."""
+    return _text_bits([s.text for s in strings], strings[0].n)
+
+
+def _bits_strings(bits: np.ndarray) -> list:
+    """The BitString of each row of an S x n {0,1} matrix."""
+    return [BitString(bits.shape[1], v) for v in _key_values(_pack_bits(bits))]
+
+
+def _sortable(keys: np.ndarray) -> np.ndarray:
+    """One comparable item per key row, ordered as the rows: the word itself
+    for n <= 64, else the row's big-endian bytes."""
+    if keys.shape[1] == 1:
+        return keys[:, 0]
+    return keys.astype(">u8").view(f"V{8 * keys.shape[1]}")[:, 0]
+
+
 def _unique_rows(keys: np.ndarray) -> tuple:
     """Distinct rows of ``keys`` in ascending order, their counts, and the
     distinct row of each input row."""
-    flat = keys[:, 0] if keys.shape[1] == 1 else keys  # 1-D sorts far faster
-    rows, inverse, counts = np.unique(
-        flat, axis=0, return_inverse=True, return_counts=True)
-    return rows.reshape(-1, keys.shape[1]), counts, inverse.reshape(-1)
+    if keys.shape[1] == 1:  # a 1-D unique of the words sorts fastest
+        rows, inverse, counts = np.unique(
+            keys[:, 0], return_inverse=True, return_counts=True)
+        return rows.reshape(-1, 1), counts, inverse
+    _, first, inverse, counts = np.unique(
+        _sortable(keys), return_index=True, return_inverse=True, return_counts=True)
+    return keys[first], counts, inverse
 
 
 # characters of a bad line that a ParseError quotes
@@ -288,7 +305,7 @@ def load_shots_text(path) -> ShotDataset:
             texts.append(text)
     if not texts:
         raise EmptyDatasetError(f"{path}: no shots found")
-    return ShotDataset._make(n, *_unique_rows(_pack_texts(texts, n)))
+    return ShotDataset._make(n, *_unique_rows(_pack_bits(_text_bits(texts, n))))
 
 
 def load_counts(path) -> ShotDataset:
@@ -322,8 +339,8 @@ def load_counts(path) -> ShotDataset:
         _raise_first_bad(path, table)
     if sum(counts) >= 1 << 63:
         raise ParseError(f"{path}: the counts sum past 2**63 - 1")
-    keys = _pack_texts(texts, n)
-    order = np.lexsort(keys.T[::-1])
+    keys = _pack_bits(_text_bits(texts, n))
+    order = np.argsort(_sortable(keys))
     return ShotDataset._make(n, keys[order], np.array(counts, dtype=np.int64)[order])
 
 
@@ -388,9 +405,10 @@ def _read_canonical_counts(path) -> Optional[ShotDataset]:
     if int(counts.max()) * u >= 1 << 63 and sum(counts.tolist()) >= 1 << 63:
         return None  # the JSON reader raises for this total
     if w > 1 or np.any(keys[1:, 0] <= keys[:-1, 0]):  # save_counts writes keys ascending
-        order = np.lexsort(keys.T[::-1])
+        order = np.argsort(_sortable(keys))
         keys, counts = keys[order], counts[order]
-        if np.any(np.all(keys[1:] == keys[:-1], axis=1)):
+        sortable = _sortable(keys)
+        if np.any(sortable[1:] == sortable[:-1]):
             return None  # a repeated key: JSON keeps its last count
     return ShotDataset._make(n, keys, counts)
 
@@ -442,6 +460,13 @@ def _read_json_object(path) -> dict:
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected a JSON object")
     return doc
+
+
+def _write_json_object(path, doc: dict) -> None:
+    """Write ``doc`` to a UTF-8 file as indented JSON with sorted keys and
+    a closing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 @contextmanager

@@ -13,15 +13,14 @@ bit-identical dataset on any platform.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .errors import DimensionError, InfeasibleError
-from .shotdata import BitString, ShotDataset, _parse_fields, _read_json_object
+from .shotdata import (BitString, ShotDataset, _key_values, _pack_bits, _parse_fields,
+                       _read_json_object, _strings_bits, _write_json_object)
 
 __all__ = [
     "NoiseSpec",
@@ -116,9 +115,7 @@ def sample_ground_truth(n: int, k: int, rng_seed: int) -> GroundTruth:
         chosen: dict = {}
         while len(chosen) < k:
             batch = rng.integers(0, 2, size=(k, n), dtype=np.uint8)
-            for row in batch:
-                v = int.from_bytes(np.packbits(row, bitorder="big").tobytes(), "big")
-                v >>= (-n) % 8
+            for v in _key_values(_pack_bits(batch)):
                 if v not in chosen:
                     chosen[v] = None
                 if len(chosen) == k:
@@ -162,7 +159,7 @@ def generate_shots(
         bits[depolarized] = rng.integers(0, 2, size=(n_dep, n), dtype=np.uint8)
     n_clean = s - n_dep
     if n_clean:
-        centers = np.stack([sol.bits() for sol in truth.solutions])
+        centers = _strings_bits(truth.solutions)
         flips = (rng.random((n_clean, n)) < noise.eps).astype(np.uint8)
         bits[~depolarized] = centers[comp[~depolarized]] ^ flips
     return ShotDataset.from_bit_matrix(bits)
@@ -180,9 +177,7 @@ def save_ground_truth(truth: GroundTruth, noise: NoiseSpec, path, seed=None) -> 
         "depth_label": noise.depth_label,
         "seed": seed,
     }
-    Path(path).write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json_object(path, doc)
 
 
 def load_ground_truth(path):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import settings
 
 import qem_mix
-from qem_mix.shotdata import BitString, ShotDataset
+from qem_mix.shotdata import BitString, ShotDataset, _key_values
 
 SRC = str(Path(qem_mix.__file__).resolve().parents[1])
 
@@ -54,7 +54,7 @@ def reference_save_counts(dataset: ShotDataset, path) -> None:
     width = f"0{dataset.n}b"
     body = ",".join(
         f'"{format(v, width)}":{c}'
-        for v, c in zip(dataset._values(), dataset.key_counts.tolist())
+        for v, c in zip(_key_values(dataset.keys), dataset.key_counts.tolist())
     )
     Path(path).write_text("{" + body + "}\n", encoding="utf-8")
 

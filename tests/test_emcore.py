@@ -296,6 +296,13 @@ class TestKmeansppInit:
         assert centers[0].text == "0101"
         assert all(c.n == 4 for c in centers)
 
+    def test_seeded_draws_are_pinned(self):
+        # two count-weighted draws, then three uniform 9-bit draws; the
+        # expected centers were taken from the per-row BitString builder
+        ds = ShotDataset([B("010110011")] * 2 + [B("111000101")])
+        assert [c.text for c in kmeanspp_init(ds, 5, seed=7)] == [
+            "010110011", "111000101", "010100110", "101000001", "001010110"]
+
     def test_separated_clusters_each_seeded(self):
         # 4 clusters with pairwise distance >= n/4 at n=16: one center in
         # each cluster for >= 95% of 100 seeds

@@ -109,6 +109,13 @@ class TestHellingerFidelity:
         with pytest.raises(NormalizationError):
             hellinger_fidelity({"0": 1.5, "1": -0.5}, {"0": 1.0})
 
+    def test_nan_rejected(self):
+        nan, half = {"0": float("nan"), "1": 1.0}, {"0": 0.5, "1": 0.5}
+        with pytest.raises(NormalizationError, match="p\\['0'\\]"):
+            hellinger_fidelity(nan, half)
+        with pytest.raises(NormalizationError, match="q\\['0'\\]"):
+            hellinger_fidelity(half, nan)
+
     def test_symmetry_and_bounds(self, rng):
         for _ in range(1000):
             n_keys = int(rng.integers(1, 8))

@@ -16,7 +16,7 @@ from qem_mix import shotdata
 from qem_mix.emcore import EmConfig, load_model, run_em
 from qem_mix.errors import DegenerateModelError, QemError
 from qem_mix.harness import load_sweep_config
-from qem_mix.shotdata import ShotDataset, load_counts, load_shots_text, save_counts
+from qem_mix.shotdata import BitString, ShotDataset, load_counts, load_shots_text, save_counts
 from qem_mix.synth import load_ground_truth
 
 from conftest import reference_save_counts
@@ -225,6 +225,43 @@ def test_save_counts_writes_the_reference_bytes(scratch, block, dataset):
     fast = shotdata._read_canonical_counts(scratch)
     assert fast == (dataset if dataset.key_counts.max() < 10**18 else None)
     assert load_counts(scratch) == dataset
+
+
+def reference_unique_rows(keys):
+    """The row grouping ``_unique_rows`` replaced: ``np.unique`` over axis 0."""
+    rows, inverse, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+    return rows, counts, inverse.reshape(-1)
+
+
+@st.composite
+def bit_matrices_with_repeats(draw):
+    """Rows drawn from a few distinct ones, so most tables repeat rows."""
+    n = draw(st.sampled_from([1, 7, 8, 9, 63, 64, 65, 127, 128, 130]))
+    pool = draw(arrays(np.uint8, (draw(st.integers(1, 6)), n), elements=st.integers(0, 1)))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=30))
+    return pool[picks]
+
+
+@settings(max_examples=150)
+@given(bits=bit_matrices_with_repeats())
+def test_codec_round_trips(bits):
+    s, n = bits.shape
+    texts = ["".join(map(str, row)) for row in bits.tolist()]
+    ints = [int(text, 2) for text in texts]
+    strings = [BitString(n, v) for v in ints]
+    keys = shotdata._pack_bits(bits)
+    assert np.array_equal(shotdata._text_bits(texts, n), bits)
+    assert np.array_equal(shotdata._unpack_bits(keys, n), bits)
+    assert shotdata._key_values(keys) == ints
+    assert shotdata._bits_strings(bits) == strings
+    assert np.array_equal(shotdata._strings_bits(strings), bits)
+    assert all(np.array_equal(x.bits(), row) for x, row in zip(strings, bits))
+    order = np.argsort(shotdata._sortable(keys), kind="stable")
+    assert order.tolist() == sorted(range(s), key=ints.__getitem__)
+    got, want = shotdata._unique_rows(keys), reference_unique_rows(keys)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b) and a.shape == b.shape
+    assert ShotDataset(strings) == ShotDataset.from_bit_matrix(bits)
 
 
 @settings(max_examples=60)

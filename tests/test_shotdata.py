@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,6 +134,22 @@ class TestPackBits:
             assert keys.dtype == np.uint64 and keys.shape == (40, -(-n // 64))
             assert np.array_equal(keys, padded_pack_bits(bits))
         assert np.array_equal(shotdata._unpack_bits(keys, n), bits)
+
+
+# Only shotdata packs, unpacks or sorts keys and reads or writes JSON files;
+# cli prints JSON to stdout.
+LAYOUT_WORDS = ("packbits", "unpackbits", "to_bytes", "from_bytes", "lexsort", "json.load")
+
+
+def test_only_shotdata_knows_the_key_layout():
+    for path in sorted(Path(shotdata.__file__).parent.glob("*.py")):
+        if path.name == "shotdata.py":
+            continue
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            where = f"{path.name}:{lineno}: {line.strip()}"
+            assert not any(word in line for word in LAYOUT_WORDS), where
+            if "json.dumps" in line:
+                assert path.name == "cli.py" and line.strip().startswith("print(json.dumps("), where
 
 
 class TestShotsTextIO:

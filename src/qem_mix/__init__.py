@@ -38,12 +38,10 @@ from .emcore import (
     MixtureModel,
     e_step,
     kmeanspp_init,
-    log_component_likelihood,
     log_likelihood,
     m_step_alpha,
     m_step_eps,
     m_step_x,
-    mml_objective,
     run_em,
     run_em_fixed_k,
 )
@@ -70,8 +68,8 @@ __all__ = [
     "FilterConfig", "FilterReport", "compute_threshold",
     "filter_dataset", "select_radius", "support_counts",
     "EmConfig", "EmReport", "MixtureModel",
-    "e_step", "kmeanspp_init", "log_component_likelihood", "log_likelihood",
-    "m_step_alpha", "m_step_eps", "m_step_x", "mml_objective",
+    "e_step", "kmeanspp_init", "log_likelihood",
+    "m_step_alpha", "m_step_eps", "m_step_x",
     "run_em", "run_em_fixed_k",
     "EvalResult", "ber", "hellinger_fidelity", "model_to_distribution",
     "NoiseGrid", "SweepConfig", "SweepRow", "aggregate",

@@ -13,14 +13,13 @@ import logging
 import os
 import random
 import sys
-
-import numpy as np
+from dataclasses import replace
 
 from . import __version__
 from .depfilter import FilterConfig, check_threshold, filter_dataset
 from .emcore import EmConfig, load_model, save_model
 from .errors import QemError
-from .harness import NoiseGrid, load_sweep_config, run_pipeline, run_sweep
+from .harness import NoiseGrid, _seeds, load_sweep_config, run_pipeline, run_sweep
 from .metrics import ber, hellinger_fidelity, model_to_distribution
 from .shotdata import ShotDataset, load_counts, load_shots_text, save_counts
 from .synth import (
@@ -60,8 +59,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="diagnostic verbosity (env: QEM_LOG_LEVEL)",
     )
     parser.add_argument("--quiet", action="store_true", help="suppress non-error output")
+
+    def seed(text: str) -> int:
+        """A --seed value: numpy seeds from non-negative integers only."""
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+        return value
+
     parser.add_argument(
-        "--seed", type=int, default=None, dest="master_seed",
+        "--seed", type=seed, default=None, dest="master_seed",
         help="master seed; drawn from OS entropy and printed when unset",
     )
     sub = parser.add_subparsers(dest="command", metavar="<command>")
@@ -92,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="flip probability lower bound")
     p.add_argument("--eps-high", type=float, default=NoiseGrid.eps_high,
                    help="flip probability upper bound")
-    p.add_argument("--seed", type=int, default=None, help="seed for this run")
+    p.add_argument("--seed", type=seed, default=None, help="seed for this run")
     p.add_argument("--depth-label", default=None, help="free-form metadata, no model effect")
     p.add_argument("--out", required=True, help="output counts JSON path")
     p.add_argument("--truth-out", default=None,
@@ -119,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="initial flip probability")
     p.add_argument("--no-mml", action="store_true",
                    help="plain EM mode: no coding penalty, no annihilation")
-    p.add_argument("--seed", type=int, default=None, help="seed for this run")
+    p.add_argument("--seed", type=seed, default=None, help="seed for this run")
 
     p = command("evaluate", "score a model file against a ground-truth sidecar",
                 _cmd_evaluate)
@@ -157,9 +164,7 @@ def _cmd_generate(args) -> int:
     seed = _effective_seed(args, args.seed)
     log.info("generate: n=%d k=%d s=%d p=%g eps=[%g,%g] seed=%d",
              args.n, args.k, args.s, args.p, args.eps_low, args.eps_high, seed)
-    truth_seed, eps_seed, shots_seed = (
-        int(v) for v in np.random.SeedSequence(seed).generate_state(3)
-    )
+    truth_seed, eps_seed, shots_seed = _seeds(3, seed)
     truth = sample_ground_truth(args.n, args.k, truth_seed)
     eps = _checked(sample_flip_probabilities, args.n, eps_seed, args.eps_low, args.eps_high)
     noise = _checked(NoiseSpec, p=args.p, eps=eps, depth_label=args.depth_label)
@@ -286,7 +291,6 @@ def _cmd_evaluate(args) -> int:
 def _cmd_sweep(args) -> int:
     config = load_sweep_config(args.config)
     if args.master_seed is not None:
-        from dataclasses import replace
         config = replace(config, master_seed=args.master_seed)
     log.info("sweep: config=%s out=%s jobs=%d master_seed=%d",
              args.config, args.out, args.jobs, config.master_seed)

@@ -40,7 +40,6 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -94,7 +93,7 @@ class FilterReport:
 
     ``lam`` is the expected uniform frequency S/2**n; ``support`` holds
     f_r(x) at the ``radius`` the pass used (1 unless the radius was
-    widened), aligned with the keys of ``source``, the dataset filtered.
+    widened), aligned with the keys of the dataset filtered.
     """
 
     kept: ShotDataset
@@ -102,13 +101,7 @@ class FilterReport:
     threshold_used: float
     lam: float
     support: np.ndarray = field(repr=False, compare=False)
-    source: ShotDataset = field(repr=False, compare=False)
     radius: int = 1
-
-    @cached_property
-    def support_counts(self) -> dict:
-        """f_r(x) per distinct observed BitString, built on first access."""
-        return dict(zip(self.source.distinct_sorted()[0], self.support.tolist()))
 
 
 def support_counts(dataset: ShotDataset, radius: int = 1) -> dict:
@@ -121,7 +114,7 @@ def support_counts(dataset: ShotDataset, radius: int = 1) -> dict:
     """
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
-    return dict(zip(dataset.distinct_sorted()[0], _support(dataset, radius).tolist()))
+    return dict(zip(dataset.counts, _support(dataset, radius).tolist()))
 
 
 def _support(dataset: ShotDataset, radius: int) -> np.ndarray:
@@ -377,4 +370,4 @@ def filter_dataset(
         )
     kept = dataset.select_distinct(keep)
     return FilterReport(kept=kept, removed_count=s - kept.s, threshold_used=t, lam=lam,
-                        support=support, source=dataset, radius=radius)
+                        support=support, radius=radius)

@@ -34,9 +34,7 @@ __all__ = [
     "EmConfig",
     "EmReport",
     "FixedKResult",
-    "log_component_likelihood",
     "log_likelihood",
-    "mml_objective",
     "e_step",
     "m_step_alpha",
     "m_step_x",
@@ -207,17 +205,6 @@ def _posterior(dataset: ShotDataset, model: MixtureModel):
     return w, lse, c
 
 
-def log_component_likelihood(y: BitString, x: BitString, eps: np.ndarray) -> float:
-    """log P(y | x, eps) for a single shot/center pair."""
-    if y.n != x.n:
-        raise DimensionError(f"length mismatch: {y.n} vs {x.n}")
-    eps = np.asarray(eps, dtype=np.float64)
-    if eps.shape != (y.n,):
-        raise DimensionError(f"eps must have {y.n} entries")
-    mism = (y.bits() ^ x.bits()).astype(np.float64)
-    return float(mism @ np.log(eps) + (1.0 - mism) @ np.log1p(-eps))
-
-
 def log_likelihood(dataset: ShotDataset, model: MixtureModel) -> float:
     """Mixture log-likelihood of the dataset under the model."""
     _, lse, c = _posterior(dataset, model)
@@ -231,13 +218,6 @@ def _mml_penalty(s: int, n: int, alpha: np.ndarray) -> float:
         -0.5 * k_nz * math.log(s / 12.0)
         - 0.5 * (k_nz * n + k_nz)
         - 0.5 * n * float(np.log(s * live / 12.0).sum())
-    )
-
-
-def mml_objective(dataset: ShotDataset, model: MixtureModel) -> float:
-    """Log-likelihood minus the MML coding penalty (to be maximized)."""
-    return log_likelihood(dataset, model) + _mml_penalty(
-        dataset.s, dataset.n, model.alpha
     )
 
 

@@ -91,6 +91,8 @@ class SweepConfig:
             raise ValueError("grid axes must all be non-empty")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.subsample_points:
             if min(self.subsample_points) < 1:
                 raise ValueError("subsample points must be >= 1")
@@ -166,19 +168,10 @@ def run_pipeline(
     return PipelineResult(report, filter_report, fallback)
 
 
-def _cell_seeds(config: SweepConfig, noise_idx: int, n: int, k: int, s: int, repeat: int):
-    ss = np.random.SeedSequence(
-        [config.master_seed, noise_idx, n, k, s, repeat]
-    )
-    truth_seed, eps_seed, shots_seed, em_seed = (int(v) for v in ss.generate_state(4))
-    return truth_seed, eps_seed, shots_seed, em_seed
-
-
-def _subsample_seed(config: SweepConfig, noise_idx, n, k, s, repeat, point_idx) -> int:
-    ss = np.random.SeedSequence(
-        [config.master_seed, noise_idx, n, k, s, repeat, 1 + point_idx]
-    )
-    return int(ss.generate_state(1)[0])
+def _seeds(count: int, *key: int) -> list:
+    """``count`` 32-bit seeds drawn from ``SeedSequence(key)``: every seed
+    of a generate run or a sweep row is derived here."""
+    return [int(v) for v in np.random.SeedSequence(key).generate_state(count)]
 
 
 def _evaluate_run(truth: GroundTruth, result: PipelineResult):
@@ -196,9 +189,8 @@ def _run_repeat(task) -> list:
     subsample points. Failures land in the row's status, never raise."""
     config, noise_idx, n, k, s, repeat = task
     noise_grid = config.noise[noise_idx]
-    truth_seed, eps_seed, shots_seed, em_seed = _cell_seeds(
-        config, noise_idx, n, k, s, repeat
-    )
+    cell = (config.master_seed, noise_idx, n, k, s, repeat)
+    truth_seed, eps_seed, shots_seed, em_seed = _seeds(4, *cell)
     em_config = replace(config.em, seed=em_seed)
 
     base = dict(
@@ -231,9 +223,7 @@ def _run_repeat(task) -> list:
         if point == s:
             dataset = full
         else:
-            sub_rng = np.random.default_rng(
-                _subsample_seed(config, noise_idx, n, k, s, repeat, point_idx)
-            )
+            sub_rng = np.random.default_rng(_seeds(1, *cell, 1 + point_idx)[0])
             idx = np.sort(sub_rng.choice(s, size=point, replace=False))
             dataset = full.subset(idx)
 

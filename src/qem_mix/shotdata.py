@@ -104,8 +104,8 @@ class ShotDataset:
     significant), and ``key_counts`` their int64 counts. Per-shot order is
     an index into ``keys``, kept for datasets built from ordered shots
     (BitStrings, bit matrices, text files and their subsets); a count table
-    expands in key order. The BitString views ``shots``, ``counts``,
-    ``bit_matrix`` and ``distinct_sorted`` are built lazily.
+    expands in key order. The BitString views ``shots``, ``counts`` and
+    ``bit_matrix`` are built lazily.
     """
 
     def __init__(self, shots: Iterable[BitString]):
@@ -152,7 +152,8 @@ class ShotDataset:
 
     @cached_property
     def counts(self) -> dict:
-        """Occurrence count per distinct BitString, in ascending order."""
+        """Occurrence count per distinct BitString; iterates in key order,
+        aligned with ``keys`` and ``key_counts``."""
         return dict(zip(self._strings, self.key_counts.tolist()))
 
     @cached_property
@@ -161,14 +162,6 @@ class ShotDataset:
         mat = self.distinct_bits()[self.shot_index()]
         mat.flags.writeable = False
         return mat
-
-    def distinct_sorted(self) -> tuple:
-        """Distinct strings in lexicographic order with aligned counts.
-
-        Returns (list of BitString, int64 count array); the canonical order
-        used wherever determinism must not depend on shot order.
-        """
-        return list(self._strings), self.key_counts.copy()
 
     @classmethod
     def from_bit_matrix(cls, matrix: np.ndarray) -> "ShotDataset":

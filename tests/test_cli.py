@@ -99,6 +99,21 @@ class TestExitCodes:
         assert err.splitlines() == [f"error: threshold must be finite, got {value}"]
         assert not model.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--n", "8", "--k", "2", "--s", "100", "--seed", "-1", "--out", "x.json"],
+        ["--seed", "-5", "mitigate", "MISSING"],
+        ["mitigate", "MISSING", "--seed", "-5"],
+        ["--seed", "-2", "sweep", "--config", "MISSING", "--out", "out"],
+    ], ids=["generate", "master-mitigate", "mitigate", "master-sweep"])
+    def test_negative_seed_exit_1_before_load(self, capsys, tmp_path, monkeypatch, argv):
+        # no input exists: the seed must be rejected before any read
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert len(err.splitlines()) == 1 and "seed must be >= 0" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flags", [
         ["--p", "2"], ["--p", "nan"], ["--eps-low", "0.6", "--eps-high", "0.7"], ["--s", "0"],
     ], ids=["p-2", "p-nan", "eps-interval", "s-0"])
@@ -445,6 +460,14 @@ class TestSweepCommand:
         code, _, err = run(capsys, "--quiet", "sweep", "--config", str(path), "--out", str(out))
         assert code == 2
         assert len(err.splitlines()) == 1 and "depolarizing probability" in err
+        assert not out.exists()
+
+    def test_negative_master_seed_in_config_exit_2(self, capsys, tmp_path):
+        config = self._config(tmp_path, master_seed=-3)
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "--quiet", "sweep", "--config", str(config), "--out", str(out))
+        assert code == 2
+        assert err.splitlines() == [f"error: {config}: master_seed must be >= 0, got -3"]
         assert not out.exists()
 
     def test_missing_config_exit_2(self, capsys, tmp_path):

@@ -10,12 +10,10 @@ from qem_mix.emcore import (
     e_step,
     kmeanspp_init,
     load_model,
-    log_component_likelihood,
     log_likelihood,
     m_step_alpha,
     m_step_eps,
     m_step_x,
-    mml_objective,
     run_em,
     run_em_fixed_k,
     save_model,
@@ -55,26 +53,6 @@ class TestMixtureModel:
         assert m.k == 2 and m.k_nz == 1
 
 
-class TestLogComponentLikelihood:
-    def test_equal_strings(self):
-        got = log_component_likelihood(B("01"), B("01"), np.array([0.25, 0.25]))
-        assert got == pytest.approx(2 * math.log(0.75), abs=1e-12)
-
-    def test_complement(self):
-        got = log_component_likelihood(B("01"), B("10"), np.array([0.25, 0.25]))
-        assert got == pytest.approx(2 * math.log(0.25), abs=1e-12)
-
-    def test_single_bit(self):
-        got = log_component_likelihood(B("1"), B("1"), np.array([0.1]))
-        assert got == pytest.approx(math.log(0.9), abs=1e-12)
-
-    def test_dimension_checks(self):
-        with pytest.raises(DimensionError):
-            log_component_likelihood(B("01"), B("011"), np.array([0.1, 0.1]))
-        with pytest.raises(DimensionError):
-            log_component_likelihood(B("01"), B("10"), np.array([0.1]))
-
-
 class TestLogLikelihood:
     def test_single_component_closed_form(self):
         s = 17
@@ -100,30 +78,31 @@ class TestLogLikelihood:
 
 
 class TestMmlObjective:
+    """The MML objective is the first entry of a fixed-K run's trace: the
+    objective of the initial model, before any update."""
+
+    @staticmethod
+    def objective(ds, model):
+        return run_em_fixed_k(ds, model, EmConfig(max_iters=1)).trace[0][2]
+
     def test_worked_example(self):
         # n=2, S=1200, one live component, plain log-likelihood -10:
         # -10 - 0.5*log(100) - 1.5 - 1*log(100) = -18.40776
         ds = ShotDataset([B("00")] * 1200)
         model = make_model(["00"], [1.0], [0.25, 0.25])
         ll = log_likelihood(ds, model)
-        got = mml_objective(ds, model)
+        got = self.objective(ds, model)
         expected = ll - 0.5 * math.log(100) - 1.5 - math.log(100)
         assert got == pytest.approx(expected, abs=1e-9)
         # frozen reference value for a plain log-likelihood of -10
         assert (-10 + (got - ll)) == pytest.approx(-18.40776, abs=1e-5)
 
-    def test_deterministic(self, rng):
-        ds = random_dataset(rng, 4, 30)
-        xs, alpha, eps = random_model_parts(rng, 4, 2)
-        model = MixtureModel(tuple(xs), alpha, eps)
-        assert mml_objective(ds, model) == mml_objective(ds, model)
-
-    def test_annihilated_component_only_changes_penalty(self, rng):
+    def test_annihilated_component_only_changes_penalty(self):
         ds = ShotDataset([B("0000")] * 50)
         m2 = make_model(["0000", "1111"], [1.0, 0.0], [0.1] * 4)
         m1 = make_model(["0000"], [1.0], [0.1] * 4)
         # zero-weight component contributes neither likelihood nor penalty
-        assert mml_objective(ds, m2) == pytest.approx(mml_objective(ds, m1), abs=1e-9)
+        assert self.objective(ds, m2) == pytest.approx(self.objective(ds, m1), abs=1e-9)
 
 
 class TestEStep:

@@ -280,6 +280,17 @@ class TestSweepConfigIO:
         with pytest.raises(ParseError):
             load_sweep_config(path)
 
+    def test_negative_master_seed_rejected_at_load(self, tmp_path):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({
+            "n_values": [8], "k_values": [2], "s_values": [100], "noise": [{"p": 0.5}],
+            "master_seed": -3,
+        }))
+        with pytest.raises(ParseError, match=f"{path}: master_seed must be >= 0, got -3"):
+            load_sweep_config(path)
+        with pytest.raises(ValueError, match="master_seed"):
+            tiny_config(master_seed=-1)
+
     def test_noise_grid_checks_bounds(self):
         for kwargs in ({"p": -0.1}, {"p": float("nan")}, {"p": 0.5, "eps_high": 0.5}):
             with pytest.raises(ValueError):

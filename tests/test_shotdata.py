@@ -109,11 +109,16 @@ class TestShotDataset:
         sub = ds.subset([0, 2])
         assert [s.text for s in sub.shots] == ["00", "10"]
 
-    def test_distinct_sorted(self):
+    def test_counts_iterate_in_key_order(self, rng):
+        # support_counts relies on this order to key its support array
         ds = ShotDataset([B("10"), B("01"), B("10")])
-        strings, counts = ds.distinct_sorted()
-        assert [s.text for s in strings] == ["01", "10"]
-        assert list(counts) == [1, 2]
+        assert list(ds.counts.items()) == [(B("01"), 1), (B("10"), 2)]
+        mat = rng.integers(0, 2, size=(50, 70), dtype=np.uint8)
+        mat[25:] = mat[:25]
+        ds = ShotDataset.from_bit_matrix(mat)
+        values = [s.value for s in ds.counts]
+        assert values == sorted({int("".join(map(str, row)), 2) for row in mat.tolist()})
+        assert list(ds.counts.values()) == ds.key_counts.tolist() == [2] * 25
 
 
 def padded_pack_bits(bits):

@@ -24,6 +24,10 @@ every key and looks the result up by binary search over the sorted keys:
 O(n * U log U). Wider radii compare all pairs of distinct strings with
 Gram products over cache-sized tiles of the upper triangle: O(U**2 * n)
 arithmetic in bounded memory, spread over the process's CPUs by threads.
+Each float32 Gram entry answers D pairs at once, in D bit fields of one
+exact integer (D = 3 at n=128, r=31; see ``_support_within``), so the
+pass computes about U**2 / (2 * D) entries and holds the strings as
+U/D packed rows.
 The thread count is worked out from the process (``_gram_threads``): one in
 a ``multiprocessing`` child, else the CPUs it may use divided by the threads
 BLAS was told to use, so processes x threads stays within the CPUs. Shots
@@ -60,7 +64,8 @@ __all__ = [
 log = logging.getLogger("qem_mix.depfilter")
 
 # Entries computed per block by the support passes: table lookups at radius
-# 1; at radius r > 1 a Gram tile holds a quarter as many (1 MiB of float32).
+# 1; at radius r > 1 each of a worker's two Gram tile buffers holds a
+# quarter as many (1 MiB of float32 each).
 _BLOCK_ENTRIES = 1 << 20
 # Radius-1 support uses a dense 2**n count table when it has at most this
 # many entries per distinct string (64 bytes each as int32).
@@ -191,58 +196,144 @@ def _gram_threads() -> int:
     return max(1, cpus // blas)
 
 
-def _support_within(dataset: ShotDataset, radius: int, threads: int) -> np.ndarray:
-    """Radius-r support by tiled Gram products over the distinct strings.
-
-    With bits mapped to +-1, z_i . z_j = n - 2*d(i, j), so d <= r is one
-    comparison per Gram entry. The upper triangle of the U x U Gram matrix
-    is cut into square tiles of side isqrt(_BLOCK_ENTRIES / 4) (512: 1 MiB
-    of float32, which stays in L2), each one product into a buffer reused
-    tile after tile; an off-diagonal tile is credited to both of its sides.
-    Row bands of tiles are handed out in order to ``threads`` workers (the
-    count ``_gram_threads`` gives), and numpy releases the GIL inside each
-    product. Every worker keeps its own buffer and float64 partial support
-    (memory: threads x 1 MiB plus threads x U float64), and the partials
-    are summed in worker order. All values are exact integers, so the
-    result does not depend on which worker took which band. Each pass logs
-    one debug line: the radius, U, pairs compared, threads and seconds.
+def _packing(n: int, radius: int, digits: int) -> tuple:
+    """(w, D) for the packed Gram pass on strings of even length n: the
+    field width w, the smallest with 2**(w-1) >= max(r+1, n-r), and the
+    most fields D (0 if none) for which every partial sum of a product, and
+    every packed entry, is exact in a float of ``digits`` significand bits.
     """
-    u, n, start = dataset.distinct, dataset.n, time.perf_counter()
-    # Gram entries and count sums are integers, exact in float32 up to 2**24.
-    dtype = np.float32 if max(dataset.s, n) <= 1 << 24 else np.float64
-    cnt = dataset.key_counts.astype(dtype)
-    z = dataset.distinct_bits().astype(dtype)
-    z *= -2
-    z += 1
-    bound = n - 2 * radius
-    side = max(1, math.isqrt(_BLOCK_ENTRIES // 4))
+    w = (max(radius + 1, n - radius) - 1).bit_length() + 1
+    d = 0
+    # a partial sum is a multiple of 1/2 of magnitude at most
+    # n/2 * sum_t 2**(w*t): exact while twice that is at most 2**digits
+    while w * (d + 1) <= digits and n * ((1 << w * (d + 1)) - 1) // ((1 << w) - 1) <= 1 << digits:
+        d += 1
+    return w, d
+
+
+def _signs(dataset: ShotDataset, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+    """Distinct strings lo..hi-1 as rows of +-1 (a 0 bit reads +1) in
+    ``out[:hi - lo]``. Columns past n, and rows past U, read +1."""
+    z = out[:hi - lo]
+    z.fill(1)
+    bits = dataset.distinct_bits(lo, min(hi, dataset.distinct))
+    z[:len(bits), :dataset.n] -= 2 * bits
+    return z
+
+
+def _support_within(dataset: ShotDataset, radius: int, threads: int) -> np.ndarray:
+    """Radius-r support by tiled Gram products, D string pairs per entry.
+
+    With bits mapped to +-1, z_i . z_j / 2 = h - n/2, where h = n - d(i, j)
+    is the number of bits the two strings share. An odd n gains one bit
+    that every string shares, so n is even and h - n/2 an integer. The
+    distinct strings, padded to a multiple of D with all-zero strings of
+    count 0, are packed D to a column: P[g] = sum_t 2**(w*t) * z[g*D+t] / 2.
+    One product z_i . P[g], plus a constant, then holds in its field t
+    (bits w*t .. w*t+w-1) the value h + 2**(w-1) - (n - r) for the pair
+    (i, g*D+t), in [0, 2**w), and the field's top bit is set exactly when
+    d <= r (see ``_packing`` for w and D; D = 3 at n=128, r=31). Every
+    partial sum is a multiple of 1/2 of magnitude at most 2**23, so float32
+    computes each entry exactly in any summation order; when S exceeds
+    2**24, or no field fits float32, the pass runs in float64 and int64.
+
+    The upper triangle is cut into tiles of ``side`` = isqrt(_BLOCK_ENTRIES
+    / 4) (512) rows by as many packed columns. Row bands of tiles are
+    handed out in order to ``threads`` workers (the count ``_gram_threads``
+    gives), and numpy releases the GIL inside each product. A worker signs
+    its band's rows from the keys when it takes the band, so only P, about
+    U/D x n floats, spans the strings. Each tile is converted to integers
+    once, and only rows whose entries, OR-ed together, set some field's top
+    bit are decoded. For each field, its top bits credit their rows with
+    the columns' counts, from the band's first string on, and their
+    columns with the rows' counts, past the band's last string, each by
+    one matrix-vector product. Each worker reuses two tile buffers (1 MiB
+    of float32 each) and its band's signs (side x n floats), and keeps
+    float64 partial supports (U entries for rows, U for columns); the
+    partials are summed in worker order. The buffers come from the calling
+    thread, so their memory is returned when the pass ends (what a worker
+    thread allocates stays with the process), and the tile's size sets how
+    often the workers hand each other the GIL. All values are exact
+    integers, so the result does not depend on which worker took which
+    band. Each pass logs one debug line: the radius, U, pairs compared,
+    Gram entries computed, D, rows decoded, threads and seconds.
+    """
+    u, start = dataset.distinct, time.perf_counter()
+    n = dataset.n + dataset.n % 2
+    (w, per), dtype, itype = _packing(n, radius, 24), np.float32, np.int32
+    if dataset.s > 1 << 24 or not per:
+        (w, per), dtype, itype = _packing(n, radius, 53), np.float64, np.int64
+    groups, side = -(-u // per), max(1, math.isqrt(_BLOCK_ENTRIES // 4))
+    tops = [1 << (w * t + w - 1) for t in range(per)]  # each field's top bit
+    hits = sum(tops)
+    offset = (2 ** (w - 1) - n // 2 + radius) * sum(1 << w * t for t in range(per))
+    cnt = np.zeros(groups * per, dtype=dtype)
+    cnt[:u] = dataset.key_counts
+    field_cnt = cnt.reshape(groups, per).T.copy()  # row t: the counts of field t
+    packed = np.empty((groups, n), dtype=dtype)
+    z = np.empty((side * per, n), dtype=dtype)
+    for g in range(0, groups, side):
+        end = min(g + side, groups)
+        signs = _signs(dataset, g * per, end * per, z)
+        block = np.multiply(signs[0::per], 0.5, out=packed[g:end])
+        for t in range(1, per):
+            block += signs[t::per] * 2.0 ** (w * t - 1)
+    del z
     bands = iter(range(0, u, side))
     lock = threading.Lock()
 
-    def work() -> np.ndarray:
-        part = np.zeros(u, dtype=np.float64)
-        buf = np.empty((side, side), dtype=dtype)
+    def work(z: np.ndarray, tile_buf: np.ndarray, field_buf: np.ndarray) -> tuple:
+        rows = np.zeros(u, dtype=np.float64)
+        cols = np.zeros((per, groups), dtype=np.float64)
+        entries = decoded = 0
         while True:
             with lock:
                 a = next(bands, None)
             if a is None:
-                return part
+                return rows, cols, entries, decoded
             b = min(a + side, u)
-            for c in range(a, u, side):
-                d = min(c + side, u)
-                tile = np.matmul(z[a:b], z[c:d].T, out=buf[:b - a, :d - c])
-                np.greater_equal(tile, bound, out=tile)
-                part[a:b] += tile @ cnt[c:d]
-                if c > a:
-                    part[c:d] += cnt[a:b] @ tile
+            signs = _signs(dataset, a, b, z)
+            for g0 in range(a // per, groups, side):
+                g1 = min(g0 + side, groups)
+                size, shape = (b - a) * (g1 - g0), (b - a, g1 - g0)
+                tile = np.matmul(signs, packed[g0:g1].T, out=tile_buf[:size].reshape(shape))
+                fields = field_buf[:size].reshape(shape)
+                np.add(tile, offset, out=fields, casting="unsafe")
+                hit = np.flatnonzero(np.bitwise_or.reduce(fields, axis=1) & hits)
+                entries += fields.size
+                decoded += len(hit)
+                if not len(hit):
+                    continue
+                if len(hit) < len(fields):  # gather the rows with a hit into the spent tile
+                    size, shape = len(hit) * (g1 - g0), (len(hit), g1 - g0)
+                    # mode "raise" would gather into a temporary first
+                    fields = np.take(fields, hit, axis=0, mode="clip",
+                                     out=tile_buf.view(itype)[:size].reshape(shape))
+                    bit = field_buf.view(dtype)[:size].reshape(shape)
+                else:
+                    bit = tile
+                row_cnt, credit = cnt[a + hit], np.zeros(len(hit), dtype=dtype)
+                for t, top in enumerate(tops):
+                    np.bitwise_and(fields, top, out=bit, casting="unsafe")
+                    lo = max(0, -(-(a - t) // per) - g0)  # first column at or after a
+                    credit += bit[:, lo:] @ field_cnt[t, g0 + lo:g1] / top
+                    lo = max(0, -(-(b - t) // per) - g0)  # first column after the band
+                    cols[t, g0 + lo:g1] += row_cnt @ bit[:, lo:] / top
+                rows[a + hit] += credit
 
     workers = min(threads, -(-u // side))
     with ThreadPoolExecutor(workers) as pool:
-        futures = [pool.submit(work) for _ in range(workers)]
+        futures = [pool.submit(work, np.empty((side, n), dtype=dtype),
+                               np.empty(side * side, dtype=dtype),
+                               np.empty(side * side, dtype=itype))
+                   for _ in range(workers)]
         parts = [future.result() for future in futures]
-    log.debug("radius %d support: U=%d, %d pairs compared on %d thread(s) in %.3f s",
-              radius, u, u * (u - 1) // 2, threads, time.perf_counter() - start)
-    return sum(parts[1:], parts[0]).astype(np.int64)
+    support = sum(r + c.T.reshape(-1)[:u] for r, c, _, _ in parts)
+    log.debug("radius %d support: U=%d, %d pairs compared on %d Gram entries of %d pairs, "
+              "%d rows decoded, %d thread(s) in %.3f s", radius, u, u * (u - 1) // 2,
+              sum(p[2] for p in parts), per, sum(p[3] for p in parts), threads,
+              time.perf_counter() - start)
+    return support.astype(np.int64)
 
 
 def _ball(n: int, radius: int) -> int:
@@ -341,7 +432,8 @@ def filter_dataset(
     The radius is 1 unless all of these hold: no ``threshold`` was passed,
     the radius-1 pass keeps no shot, and no two observed strings are at
     distance 1 (every radius-1 support equals the string's own count). Then
-    the pass is redone at ``select_radius(S, n, config)``.
+    the pass is redone at ``select_radius(S, n, config)``, unless its T_r
+    exceeds S: no support can reach it, and the pass is skipped.
 
     Shot order and multiplicity are preserved. Pass ``threshold`` to reuse
     an absolute T (e.g. a previous report's threshold_used) at radius 1:
@@ -361,8 +453,9 @@ def filter_dataset(
         radius = select_radius(s, n, config)
         if radius > 1:
             t = compute_threshold(s, n, config, radius)
-            support = _support(dataset, radius)
-            keep = support >= t
+            if t <= s:  # no support exceeds S, so a higher T keeps nothing
+                support = _support(dataset, radius)
+                keep = support >= t
     if not keep.any():
         raise AllFilteredError(
             f"threshold {t:g} at Hamming radius {radius} removed all {s} shots; "

@@ -137,9 +137,10 @@ class ShotDataset:
             return self._order
         return np.repeat(np.arange(self.distinct), self.key_counts)
 
-    def distinct_bits(self) -> np.ndarray:
-        """U x n uint8 matrix of the distinct strings' bits, in key order."""
-        return _unpack_bits(self.keys, self.n)
+    def distinct_bits(self, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
+        """uint8 bit matrix of the distinct strings in key order: all U of
+        them, or rows ``start`` to ``stop`` - 1 of ``keys``, n bits each."""
+        return _unpack_bits(self.keys[start:stop], self.n)
 
     @cached_property
     def _strings(self) -> list:

@@ -236,6 +236,83 @@ class TestGramTiles:
         assert threading.active_count() == before
 
 
+def _brute_support(ds, radii):
+    """f_r of each distinct string, in key order, for every r in ``radii``,
+    from the Hamming distance of every pair of bit rows."""
+    bits, cnt = ds.distinct_bits(), ds.key_counts
+    out = {r: np.empty(ds.distinct, dtype=np.int64) for r in radii}
+    for lo in range(0, ds.distinct, 64):
+        dist = (bits[lo:lo + 64, None, :] != bits[None, :, :]).sum(axis=2)
+        for r in radii:
+            out[r][lo:lo + 64] = (dist <= r) @ cnt
+    return out
+
+
+def _clustered_dataset(rng, n, u=40):
+    """The n-bit strings 0...0, 1...1 and a random center, plus ``u`` drawn
+    from them with bits flipped at rates up to 0.3, so that every radius
+    splits some pairs; the first 9 drawn appear twice (counts above 1)."""
+    centers = np.stack([np.zeros(n), np.ones(n), rng.integers(0, 2, n)]).astype(np.uint8)
+    rates = rng.uniform(0, 0.3, (u, 1))
+    bits = centers[rng.integers(0, 3, u)] ^ (rng.random((u, n)) < rates)
+    return ShotDataset.from_bit_matrix(np.concatenate([centers, bits, bits[:9]]))
+
+
+class TestPackedGram:
+    def test_three_pairs_per_entry_at_n128_r31(self):
+        assert depfilter._packing(128, 31, 24) == (8, 3)
+
+    @pytest.mark.parametrize("n", [2, 10, 64, 128, 256])
+    def test_packing_bound_is_exact_and_tight(self, n):
+        # D fields of w bits fit, partial sums included; one more does not
+        for r in range(1, n + 1):
+            w, d = depfilter._packing(n, r, 24)
+            assert 1 << (w - 1) >= max(r + 1, n - r) and 1 << (w - 2) < max(r + 1, n - r)
+            fits = [w * k <= 24 and n * sum(1 << w * t for t in range(k)) <= 1 << 24
+                    for k in (d, d + 1)]
+            assert d >= 1 and fits == [True, False]
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 9, 127, 128, 129, 255])
+    def test_every_radius_matches_brute_force(self, rng, monkeypatch, n, threads):
+        # tiles of 5 rows by 5 packed columns over about 50 strings
+        monkeypatch.setattr(depfilter, "_BLOCK_ENTRIES", 8 * 5 * 5)
+        monkeypatch.setattr(depfilter, "_gram_threads", lambda: threads)
+        ds = _clustered_dataset(rng, n)
+        assert ds.key_counts.max() > 1
+        expected = _brute_support(ds, range(1, n + 1))
+        # radius 1 goes to its own pass in support_counts
+        assert np.array_equal(depfilter._support_within(ds, 1, threads), expected[1])
+        for r in range(2, n + 1):
+            assert support_counts(ds, r) == dict(zip(ds.counts, expected[r].tolist()))
+
+    @pytest.mark.parametrize("side", [1, 2, 4, 5, 7])
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_packed_groups_straddle_the_diagonal_and_the_padding(
+            self, rng, monkeypatch, side, threads):
+        # D = 3 and U = 3k + 1: a band's first packed group starts before
+        # the band and its last ends past it, and the last group is padding
+        monkeypatch.setattr(depfilter, "_BLOCK_ENTRIES", 8 * side * side)
+        monkeypatch.setattr(depfilter, "_gram_threads", lambda: threads)
+        ds = _clustered_dataset(rng, 128, u=33)
+        ds = ds.select_distinct(np.arange(ds.distinct) < 3 * ((ds.distinct - 1) // 3) + 1)
+        assert ds.distinct % 3 == 1
+        expected = _brute_support(ds, (20, 31, 40))
+        for r in expected:
+            assert depfilter._packing(128, r, 24)[1] == 3
+            assert support_counts(ds, r) == dict(zip(ds.counts, expected[r].tolist()))
+
+    def test_dense_hits(self):
+        # n=128, K=1, 10 % noise: nearly every row decodes in every tile
+        truth = sample_ground_truth(128, 1, 5)
+        ds = generate_shots(truth, NoiseSpec(p=0.1, eps=np.full(128, 0.1)), 1500, 6)
+        r = select_radius(ds.s, ds.n)
+        support = support_counts(ds, r)
+        assert support == dict(zip(ds.counts, _brute_support(ds, [r])[r].tolist()))
+        assert sum(v >= compute_threshold(ds.s, ds.n, FilterConfig(), r)
+                   for v in support.values()) > 0.8 * ds.distinct
+
+
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -516,6 +593,28 @@ class TestRadiusWidening:
         assert message.startswith(f"radius {report.radius} support: U=4, 6 pairs compared on ")
         assert f" {depfilter._gram_threads()} thread(s) in " in message
         assert message.endswith(" s")
+
+    def test_widened_pass_logs_its_packing(self, caplog):
+        # n=64, r=28: three pairs per entry, so U=4 takes one band of 4 rows
+        # by 2 packed columns, and each row decodes for its own pair
+        ds = ShotDataset([B(x) for x in [WIDE_A] + WIDE_CLUSTER])
+        with caplog.at_level(logging.DEBUG, logger="qem_mix"):
+            report = filter_dataset(ds, FilterConfig(eta=1.5, t_floor=3))
+        assert report.radius == 28
+        message = caplog.records[0].getMessage()
+        assert " on 8 Gram entries of 3 pairs, 4 rows decoded, " in message
+
+    def test_threshold_above_s_skips_the_widened_pass(self, rng, monkeypatch):
+        # at radius n every support is S, and T = 1.5 * S keeps nothing
+        calls = []
+        monkeypatch.setattr(depfilter, "_support_within", lambda *args: calls.append(args))
+        ds = random_dataset(rng, 70, 3000)
+        config = FilterConfig(t_floor=65)
+        assert ds.distinct == 3000 and select_radius(3000, 70, config) == 70
+        with pytest.raises(AllFilteredError, match=r"^threshold 4500 at Hamming radius 70 "
+                                                   r"removed all 3000 shots; lower eta"):
+            filter_dataset(ds, config)
+        assert calls == []
 
     def test_radius_one_pass_logs_nothing(self, caplog):
         ds = ShotDataset([B("00")] * 3 + [B("01")] * 2)

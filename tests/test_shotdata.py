@@ -120,6 +120,15 @@ class TestShotDataset:
         assert values == sorted({int("".join(map(str, row)), 2) for row in mat.tolist()})
         assert list(ds.counts.values()) == ds.key_counts.tolist() == [2] * 25
 
+    def test_distinct_bits_of_a_band(self, rng):
+        # rows of the distinct strings, in key order, as BitStrings spell them
+        ds = ShotDataset.from_bit_matrix(rng.integers(0, 2, size=(40, 70), dtype=np.uint8))
+        texts = [s.text for s in ds.counts]
+        for start, stop in ((0, None), (5, 17), (39, 40), (12, 12)):
+            band = ds.distinct_bits(start, stop)
+            assert band.shape == (len(texts[start:stop]), 70)
+            assert ["".join(map(str, row)) for row in band.tolist()] == texts[start:stop]
+
 
 def padded_pack_bits(bits):
     """The packer ``_pack_bits`` replaced: every row padded to whole words."""

@@ -13,7 +13,7 @@ import logging
 import os
 import random
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from . import __version__
 from .depfilter import FilterConfig, check_threshold, filter_dataset
@@ -165,7 +165,7 @@ def _cmd_generate(args) -> int:
     log.info("generate: n=%d k=%d s=%d p=%g eps=[%g,%g] seed=%d",
              args.n, args.k, args.s, args.p, args.eps_low, args.eps_high, seed)
     truth_seed, eps_seed, shots_seed = _seeds(3, seed)
-    truth = sample_ground_truth(args.n, args.k, truth_seed)
+    truth = _checked(sample_ground_truth, args.n, args.k, truth_seed)
     eps = _checked(sample_flip_probabilities, args.n, eps_seed, args.eps_low, args.eps_high)
     noise = _checked(NoiseSpec, p=args.p, eps=eps, depth_label=args.depth_label)
     dataset = _checked(generate_shots, truth, noise, args.s, shots_seed)
@@ -241,17 +241,11 @@ def _cmd_mitigate(args) -> int:
     model_out = args.model_out or f"{args.input}.model.json"
     meta = {
         "input": str(args.input),
-        "seed": seed,
         "skip_filter": bool(args.skip_filter),
         "filter_fallback": fallback,
         "filter_kept": filter_report.kept.s if filter_report else None,
         "filter_threshold": filter_report.threshold_used if filter_report else None,
-        "mml_enabled": not args.no_mml,
-        "k_min": args.k_min,
-        "k_max": args.k_max,
-        "delta": args.delta,
-        "max_iters": args.max_iters,
-        "eps_init": args.eps_init,
+        **asdict(em_config),
     }
     save_model(em_report, model_out, meta=meta)
     log.info(
@@ -289,12 +283,14 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise _UsageError(f"--jobs must be >= 1, got {args.jobs}")
     config = load_sweep_config(args.config)
     if args.master_seed is not None:
         config = replace(config, master_seed=args.master_seed)
     log.info("sweep: config=%s out=%s jobs=%d master_seed=%d",
              args.config, args.out, args.jobs, config.master_seed)
-    rows = run_sweep(config, jobs=max(1, args.jobs), out_dir=args.out)
+    rows = run_sweep(config, jobs=args.jobs, out_dir=args.out)
     failed = sum(1 for r in rows if r.status != "ok")
     log.info("sweep complete: %d rows (%d failed) -> %s", len(rows), failed, args.out)
     return 0

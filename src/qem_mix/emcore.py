@@ -20,6 +20,7 @@ n=128 they underflow any fixed-precision float).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -94,6 +95,13 @@ class MixtureModel:
         return int(np.count_nonzero(self.alpha))
 
 
+def _check_integer(name: str, value) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is an integer: a
+    bool, a float or a string is not one, a numpy integer is."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name}: {value!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class EmConfig:
     """Knobs for the EM run; defaults follow the package's standard setup."""
@@ -107,17 +115,17 @@ class EmConfig:
     mml_enabled: bool = True
 
     def __post_init__(self):
-        for name in ("delta", "eps_init"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("k_min", "k_max", "max_iters", "seed"):
+            _check_integer(name, getattr(self, name))
         if not 1 <= self.k_min <= self.k_max:
             raise ValueError(f"need 1 <= k_min <= k_max, got {self.k_min}..{self.k_max}")
-        if self.delta <= 0:
-            raise ValueError("delta must be > 0")
+        # the bounds are phrased so that NaN fails them
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError(f"delta must be finite and > 0, got {self.delta}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if not 0.0 < self.eps_init < 0.5:
-            raise ValueError("eps_init must lie in (0, 0.5)")
+            raise ValueError(f"eps_init must lie in (0, 0.5), got {self.eps_init}")
 
 
 @dataclass(frozen=True)
@@ -422,7 +430,7 @@ def run_em(dataset: ShotDataset, config: Optional[EmConfig] = None) -> EmReport:
             converged[k_entry] = False
             if best is None and k_entry <= config.k_min:
                 raise
-            if k_entry <= config.k_min or model.k <= 1:
+            if k_entry <= config.k_min:
                 break
             model = _force_annihilate(model)
             continue
@@ -483,8 +491,5 @@ def load_model(path):
     doc = _read_json_object(path)
     with _parse_fields(path):
         model = MixtureModel(
-            tuple(BitString.from_text(t) for t in doc["solutions"]),
-            np.asarray(doc["alpha"], dtype=np.float64),
-            np.asarray(doc["eps"], dtype=np.float64),
-        )
+            tuple(BitString.from_text(t) for t in doc["solutions"]), doc["alpha"], doc["eps"])
     return model, doc

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .depfilter import FilterConfig, FilterReport, filter_dataset
-from .emcore import EmConfig, EmReport, run_em
+from .emcore import EmConfig, EmReport, _check_integer, run_em
 from .errors import AllFilteredError
 from .metrics import ber, hellinger_fidelity, model_to_distribution
 from .shotdata import ShotDataset, _parse_fields, _read_json_object, _write_json_object
@@ -63,6 +63,8 @@ class NoiseGrid:
     eps_high: float = 0.15
 
     def __post_init__(self):
+        for name in ("p", "eps_low", "eps_high"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         check_noise(self.eps_low, self.eps_high, self.p)
 
 
@@ -79,14 +81,15 @@ class SweepConfig:
     em: EmConfig = field(default_factory=EmConfig)
 
     def __post_init__(self):
-        object.__setattr__(self, "n_values", tuple(self.n_values))
-        object.__setattr__(self, "k_values", tuple(self.k_values))
-        object.__setattr__(self, "s_values", tuple(self.s_values))
-        object.__setattr__(self, "noise", tuple(self.noise))
+        for name in ("n_values", "k_values", "s_values", "noise"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.subsample_points is not None:
-            object.__setattr__(
-                self, "subsample_points", tuple(sorted(self.subsample_points))
-            )
+            object.__setattr__(self, "subsample_points", tuple(sorted(self.subsample_points)))
+        for name in ("n_values", "k_values", "s_values", "subsample_points"):
+            for value in getattr(self, name) or ():
+                _check_integer(name, value)
+        _check_integer("repeats", self.repeats)
+        _check_integer("master_seed", self.master_seed)
         if not (self.n_values and self.k_values and self.s_values and self.noise):
             raise ValueError("grid axes must all be non-empty")
         if self.repeats < 1:
@@ -378,28 +381,10 @@ def write_summary_json(table: list, path) -> None:
 
 
 def load_sweep_config(path) -> SweepConfig:
-    """Read a sweep description from JSON."""
+    """Read a sweep description from JSON: its keys are the fields of
+    ``SweepConfig``, and each class converts and checks its own fields."""
     doc = _read_json_object(path)
     with _parse_fields(path):
-        noise = tuple(
-            NoiseGrid(
-                p=float(entry["p"]),
-                eps_low=float(entry.get("eps_low", NoiseGrid.eps_low)),
-                eps_high=float(entry.get("eps_high", NoiseGrid.eps_high)),
-            )
-            for entry in doc["noise"]
-        )
-        return SweepConfig(
-            n_values=tuple(int(v) for v in doc["n_values"]),
-            k_values=tuple(int(v) for v in doc["k_values"]),
-            s_values=tuple(int(v) for v in doc["s_values"]),
-            noise=noise,
-            repeats=int(doc.get("repeats", SweepConfig.repeats)),
-            subsample_points=(
-                tuple(int(v) for v in doc["subsample_points"])
-                if doc.get("subsample_points") else None
-            ),
-            master_seed=int(doc.get("master_seed", SweepConfig.master_seed)),
-            filter=FilterConfig(**doc.get("filter", {})),
-            em=EmConfig(**doc.get("em", {})),
-        )
+        return SweepConfig(**dict(doc, noise=tuple(NoiseGrid(**e) for e in doc["noise"]),
+                                  filter=FilterConfig(**doc.get("filter", {})),
+                                  em=EmConfig(**doc.get("em", {}))))

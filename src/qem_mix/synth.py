@@ -58,6 +58,7 @@ class NoiseSpec:
     def __post_init__(self):
         eps = np.asarray(self.eps, dtype=np.float64)
         object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "p", float(self.p))
         if eps.ndim != 1 or eps.size < 1:
             raise DimensionError("eps must be a 1-D vector with one entry per bit")
         check_noise(eps.min(), eps.max(), self.p)
@@ -103,7 +104,7 @@ class GroundTruth:
 def sample_ground_truth(n: int, k: int, rng_seed: int) -> GroundTruth:
     """Draw K distinct uniform-random n-bit strings with equal weights."""
     if n < 1:
-        raise DimensionError(f"need n >= 1, got {n}")
+        raise ValueError(f"need n >= 1, got {n}")
     if k < 1 or k > (1 << n):
         raise InfeasibleError(f"cannot pick {k} distinct strings of {n} bits")
     rng = np.random.default_rng(rng_seed)
@@ -185,12 +186,6 @@ def load_ground_truth(path):
     doc = _read_json_object(path)
     with _parse_fields(path):
         truth = GroundTruth(
-            tuple(BitString.from_text(t) for t in doc["solutions"]),
-            np.asarray(doc["weights"], dtype=np.float64),
-        )
-        noise = NoiseSpec(
-            p=float(doc["p"]),
-            eps=np.asarray(doc["eps"], dtype=np.float64),
-            depth_label=doc.get("depth_label"),
-        )
+            tuple(BitString.from_text(t) for t in doc["solutions"]), doc["weights"])
+        noise = NoiseSpec(doc["p"], doc["eps"], doc.get("depth_label"))
     return truth, noise

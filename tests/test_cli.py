@@ -116,7 +116,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flags", [
         ["--p", "2"], ["--p", "nan"], ["--eps-low", "0.6", "--eps-high", "0.7"], ["--s", "0"],
-    ], ids=["p-2", "p-nan", "eps-interval", "s-0"])
+        ["--n", "0"],
+    ], ids=["p-2", "p-nan", "eps-interval", "s-0", "n-0"])
     def test_bad_noise_value_exit_1(self, capsys, tmp_path, monkeypatch, flags):
         from qem_mix import cli, synth
 
@@ -468,6 +469,30 @@ class TestSweepCommand:
         code, _, err = run(capsys, "--quiet", "sweep", "--config", str(config), "--out", str(out))
         assert code == 2
         assert err.splitlines() == [f"error: {config}: master_seed must be >= 0, got -3"]
+        assert not out.exists()
+
+    def test_non_integer_em_field_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"n_values": [8], "k_values": [2], "s_values": [50],
+                                    "noise": [{"p": 0.5}], "em": {"k_max": 4.5}}))
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "--quiet", "sweep", "--config", str(path), "--out", str(out))
+        assert code == 2
+        assert err.splitlines() == [f"error: {path}: k_max: 4.5 is not an integer"]
+        assert not (out / "rows.csv").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_exit_1_before_load(self, capsys, tmp_path, monkeypatch, jobs):
+        from qem_mix import cli
+
+        def no_load(path):
+            raise AssertionError("read the config despite a bad --jobs")
+        monkeypatch.setattr(cli, "load_sweep_config", no_load)
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "sweep", "--config", str(self._config(tmp_path)),
+                           "--out", str(out), "--jobs", jobs)
+        assert code == 1
+        assert err.splitlines() == [f"error: --jobs must be >= 1, got {jobs}"]
         assert not out.exists()
 
     def test_missing_config_exit_2(self, capsys, tmp_path):

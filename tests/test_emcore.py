@@ -53,6 +53,27 @@ class TestMixtureModel:
         assert m.k == 2 and m.k_nz == 1
 
 
+class TestEmConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"delta": math.nan}, {"delta": math.inf}, {"delta": 0.0},
+        {"eps_init": math.nan}, {"eps_init": math.inf}, {"eps_init": 0.5},
+        {"k_min": 0}, {"k_min": 5, "k_max": 4}, {"max_iters": 0},
+    ])
+    def test_rejects_out_of_range(self, kwargs):
+        with pytest.raises(ValueError):
+            EmConfig(**kwargs)
+
+    @pytest.mark.parametrize("name", ["k_min", "k_max", "max_iters", "seed"])
+    @pytest.mark.parametrize("value", [4.5, 4.0, "4", True])
+    def test_counts_must_be_integers(self, name, value):
+        with pytest.raises(ValueError, match=f"{name}: .* is not an integer"):
+            EmConfig(**{name: value})
+
+    def test_numpy_integers_accepted(self):
+        config = EmConfig(k_max=np.int64(4), seed=np.uint32(7))
+        assert config.k_max == 4 and config.seed == 7
+
+
 class TestLogLikelihood:
     def test_single_component_closed_form(self):
         s = 17

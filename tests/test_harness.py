@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -310,3 +311,51 @@ class TestSweepConfigIO:
         path.write_text("{nope")
         with pytest.raises(ParseError):
             load_sweep_config(path)
+
+    @pytest.mark.parametrize("change,name", [
+        ({"repeat": 3}, "repeat"),
+        ({"noise": [{"p": 0.5, "eps_hi": 0.1}]}, "eps_hi"),
+        ({"n_values": [10.5]}, "n_values"),
+        ({"n_values": ["8"]}, "n_values"),
+        ({"n_values": [True]}, "n_values"),
+        ({"subsample_points": [100.9]}, "subsample_points"),
+        ({"em": {"k_max": 4.5}}, "k_max"),
+    ], ids=["unknown-key", "unknown-noise-key", "float-n", "string-n", "bool-n",
+            "float-subsample-point", "float-k-max"])
+    def test_malformed_field_names_file_and_field(self, tmp_path, change, name):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(dict(
+            {"n_values": [8], "k_values": [2], "s_values": [200], "noise": [{"p": 0.5}]},
+            **change)))
+        with pytest.raises(ParseError) as info:
+            load_sweep_config(path)
+        assert str(info.value).startswith(f"{path}: ") and name in str(info.value)
+
+    def test_every_field_round_trips(self, tmp_path):
+        config = SweepConfig(
+            n_values=(10, 12), k_values=(2, 4), s_values=(500, 1000),
+            noise=(NoiseGrid(p=0.85, eps_low=0.02, eps_high=0.1), NoiseGrid(p=0.5)),
+            repeats=3, subsample_points=(250, 1000), master_seed=42,
+            filter=FilterConfig(eta=2.5, t_floor=7),
+            em=EmConfig(k_min=2, k_max=9, delta=1e-4, max_iters=77, seed=5,
+                        eps_init=0.2, mml_enabled=False),
+        )
+        defaults = dataclasses.asdict(SweepConfig(n_values=(1,), k_values=(1,), s_values=(1,),
+                                                  noise=(NoiseGrid(p=0.0),)))
+        changed = dataclasses.asdict(config)
+        # every field, nested ones included, differs from its default
+        assert [k for k in changed if changed[k] == defaults[k]] == []
+        assert [k for k in changed["em"] if changed["em"][k] == defaults["em"][k]] == []
+        assert [k for k in changed["filter"]
+                if changed["filter"][k] == defaults["filter"][k]] == []
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(changed))
+        assert load_sweep_config(path) == config
+
+    def test_counts_must_be_integers(self):
+        with pytest.raises(ValueError, match="repeats"):
+            tiny_config(repeats=2.0)
+        with pytest.raises(ValueError, match="master_seed"):
+            tiny_config(master_seed="5")
+        config = tiny_config(n_values=np.array([8, 9]), repeats=np.int64(2))
+        assert config.n_values == (8, 9)

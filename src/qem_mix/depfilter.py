@@ -38,18 +38,18 @@ from __future__ import annotations
 
 import logging
 import math
-import multiprocessing
+import numbers
 import os
+import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .errors import AllFilteredError
-from .shotdata import ShotDataset, _sortable
+from .shotdata import ShotDataset, _check_integer, _sortable
 
 __all__ = [
     "FilterConfig",
@@ -86,10 +86,12 @@ class FilterConfig:
     t_floor: int = 2
 
     def __post_init__(self):
-        if not math.isfinite(self.eta) or self.eta <= 0:
-            raise ValueError(f"eta must be finite and > 0, got {self.eta}")
-        if not math.isfinite(self.t_floor) or self.t_floor < 1:
-            raise ValueError(f"t_floor must be finite and >= 1, got {self.t_floor}")
+        if isinstance(self.eta, bool) or not isinstance(self.eta, numbers.Real) \
+                or not 0 < self.eta < math.inf:  # NaN fails it
+            raise ValueError(f"eta must be finite and > 0, got {self.eta!r}")
+        _check_integer("t_floor", self.t_floor)
+        if self.t_floor < 1:
+            raise ValueError(f"t_floor must be >= 1, got {self.t_floor}")
 
 
 @dataclass(frozen=True)
@@ -176,12 +178,15 @@ def _gram_threads() -> int:
     """Threads for the radius-r Gram pass, from what the process observes.
 
     One inside a ``multiprocessing`` child, so a pool's workers stay at one
-    thread each. Otherwise the CPUs this process may run on, divided by the
-    threads BLAS was told to use: the first positive integer among
+    thread each; a process that never imported ``multiprocessing`` is no
+    such child, as forked and spawned workers always have it loaded.
+    Otherwise the CPUs this process may run on, divided by the threads
+    BLAS was told to use: the first positive integer among
     ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS``,
     else all of them (BLAS then threads each product itself). At least one.
     """
-    if multiprocessing.parent_process() is not None:
+    mp = sys.modules.get("multiprocessing")
+    if mp is not None and mp.parent_process() is not None:
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -320,6 +325,8 @@ def _support_within(dataset: ShotDataset, radius: int, threads: int) -> np.ndarr
                     lo = max(0, -(-(b - t) // per) - g0)  # first column after the band
                     cols[t, g0 + lo:g1] += row_cnt @ bit[:, lo:] / top
                 rows[a + hit] += credit
+
+    from concurrent.futures import ThreadPoolExecutor  # loaded by the radius-r pass alone
 
     workers = min(threads, -(-u // side))
     with ThreadPoolExecutor(workers) as pool:

@@ -20,14 +20,13 @@ n=128 they underflow any fixed-precision float).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import DegenerateModelError, DimensionError, InvalidModelError
-from .shotdata import (BitString, ShotDataset, _bits_strings, _parse_fields,
+from .shotdata import (BitString, ShotDataset, _bits_strings, _check_integer, _parse_fields,
                        _read_json_object, _strings_bits, _write_json_object)
 
 __all__ = [
@@ -93,13 +92,6 @@ class MixtureModel:
     @property
     def k_nz(self) -> int:
         return int(np.count_nonzero(self.alpha))
-
-
-def _check_integer(name: str, value) -> None:
-    """Raise ValueError naming ``name`` unless ``value`` is an integer: a
-    bool, a float or a string is not one, a numpy integer is."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name}: {value!r} is not an integer")
 
 
 @dataclass(frozen=True)

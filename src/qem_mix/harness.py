@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import logging
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -23,10 +22,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .depfilter import FilterConfig, FilterReport, filter_dataset
-from .emcore import EmConfig, EmReport, _check_integer, run_em
+from .emcore import EmConfig, EmReport, run_em
 from .errors import AllFilteredError
 from .metrics import ber, hellinger_fidelity, model_to_distribution
-from .shotdata import ShotDataset, _parse_fields, _read_json_object, _write_json_object
+from .shotdata import (ShotDataset, _check_integer, _parse_fields, _read_json_object,
+                       _write_json_object)
 from .synth import (
     GroundTruth,
     NoiseSpec,
@@ -68,6 +68,12 @@ class NoiseGrid:
         check_noise(self.eps_low, self.eps_high, self.p)
 
 
+def _check_axis(name: str, axis) -> None:
+    """Raise ValueError naming ``name`` unless ``axis`` is a list of values."""
+    if not isinstance(axis, (Sequence, np.ndarray)):
+        raise ValueError(f"{name}: {axis!r} is not a list")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     n_values: tuple
@@ -81,13 +87,15 @@ class SweepConfig:
     em: EmConfig = field(default_factory=EmConfig)
 
     def __post_init__(self):
-        for name in ("n_values", "k_values", "s_values", "noise"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-        if self.subsample_points is not None:
-            object.__setattr__(self, "subsample_points", tuple(sorted(self.subsample_points)))
-        for name in ("n_values", "k_values", "s_values", "subsample_points"):
-            for value in getattr(self, name) or ():
+        for name in ("n_values", "k_values", "s_values", "noise", "subsample_points"):
+            axis = getattr(self, name)
+            if axis is None and name == "subsample_points":
+                continue
+            _check_axis(name, axis)
+            for value in axis if name != "noise" else ():  # typed before sorted() compares
                 _check_integer(name, value)
+            object.__setattr__(self, name, tuple(sorted(axis) if name == "subsample_points"
+                                                 else axis))
         _check_integer("repeats", self.repeats)
         _check_integer("master_seed", self.master_seed)
         if not (self.n_values and self.k_values and self.s_values and self.noise):
@@ -283,8 +291,9 @@ def run_sweep(config: SweepConfig, jobs: int = 1, out_dir=None) -> list:
     with ExitStack() as stack:
         write = _row_writer(out_dir, stack) if out_dir is not None else None
         run = map
-        if jobs > 1:
-            run = stack.enter_context(ProcessPoolExecutor(max_workers=jobs)).map
+        if jobs > 1:  # a pool class set on this module replaces the default
+            pool = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
+            run = stack.enter_context(pool(max_workers=jobs)).map
         for chunk in run(_run_repeat, tasks):
             rows.extend(chunk)
             if write:
@@ -292,6 +301,15 @@ def run_sweep(config: SweepConfig, jobs: int = 1, out_dir=None) -> list:
     if out_dir is not None:
         write_summary_json(aggregate(rows), Path(out_dir) / "summary.json")
     return rows
+
+
+def __getattr__(name):
+    """``ProcessPoolExecutor``, imported on first use: only a sweep with
+    jobs > 1 needs a process pool."""
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor
 
 
 def _row_writer(out_dir, stack: ExitStack):
@@ -385,6 +403,7 @@ def load_sweep_config(path) -> SweepConfig:
     ``SweepConfig``, and each class converts and checks its own fields."""
     doc = _read_json_object(path)
     with _parse_fields(path):
+        _check_axis("noise", doc["noise"])
         return SweepConfig(**dict(doc, noise=tuple(NoiseGrid(**e) for e in doc["noise"]),
                                   filter=FilterConfig(**doc.get("filter", {})),
                                   em=EmConfig(**doc.get("em", {}))))

@@ -9,7 +9,8 @@ Conventions used throughout the package:
   held count-native: its distinct strings as packed uint64 keys in
   ascending order plus their counts (see ``ShotDataset``). Loading,
   filtering, EM and saving run on that form; ``BitString`` objects are
-  built only for callers that ask for them.
+  built only for callers that ask for them. Ordered shots keep their
+  per-shot keys, and their shot index is derived on first use.
 * Only this module knows the key layout and the key order. Its codec
   helpers are the only encoders and decoders of the layout: ``_text_bits``,
   ``_pack_bits``, ``_unpack_bits``, ``_key_values``, ``_strings_bits`` and
@@ -20,6 +21,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -102,10 +104,12 @@ class ShotDataset:
     Held count-native: ``keys`` are the U distinct strings in ascending
     order, each packed into W = ceil(n/64) uint64 words (word 0 the most
     significant), and ``key_counts`` their int64 counts. Per-shot order is
-    an index into ``keys``, kept for datasets built from ordered shots
-    (BitStrings, bit matrices, text files and their subsets); a count table
-    expands in key order. The BitString views ``shots``, ``counts`` and
-    ``bit_matrix`` are built lazily.
+    an index into ``keys``. Datasets built from ordered shots (BitStrings,
+    bit matrices, text files, generated shots) keep their S x W per-shot
+    keys instead, and derive the index from them on first use; subsets
+    keep the index itself. A count table expands in key order. The
+    BitString views ``shots``, ``counts`` and ``bit_matrix`` are built
+    lazily.
     """
 
     def __init__(self, shots: Iterable[BitString]):
@@ -114,27 +118,44 @@ class ShotDataset:
         for i, s in enumerate(shots):
             if s.n != n:
                 raise DimensionError(f"shot {i} has {s.n} bits, expected {n}")
-        self._set(n, *_unique_rows(_pack_bits(_text_bits([s.text for s in shots], n))))
+        shot_keys = _pack_bits(_text_bits([s.text for s in shots], n))
+        self._set(n, *_unique_rows(shot_keys), shot_keys=shot_keys)
 
     @classmethod
-    def _make(cls, n, keys, key_counts, order=None) -> "ShotDataset":
+    def _make(cls, n, keys, key_counts, order=None, shot_keys=None) -> "ShotDataset":
         dataset = cls.__new__(cls)
-        dataset._set(n, keys, key_counts, order)
+        dataset._set(n, keys, key_counts, order, shot_keys)
         return dataset
 
-    def _set(self, n, keys, key_counts, order):
+    @classmethod
+    def _from_shot_keys(cls, n, shot_keys: np.ndarray) -> "ShotDataset":
+        """The dataset of S x W per-shot keys of n bits, in shot order."""
+        return cls._make(n, *_unique_rows(shot_keys), shot_keys=shot_keys)
+
+    def _set(self, n, keys, key_counts, order=None, shot_keys=None):
         if not len(key_counts):
             raise EmptyDatasetError("a dataset must contain at least one shot")
-        for arr in (keys, key_counts, order):
+        for arr in (keys, key_counts, order, shot_keys):
             if arr is not None:
                 arr.flags.writeable = False
         self.n, self.s, self.distinct = n, int(key_counts.sum()), len(keys)
-        self.keys, self.key_counts, self._order = keys, key_counts, order
+        self.keys, self.key_counts = keys, key_counts
+        self._order, self._shot_keys = order, shot_keys
+
+    def _ordered_index(self) -> Optional[np.ndarray]:
+        """The shot index of ordered shots, searched from their keys on the
+        first call (which then drops them); None for a count table."""
+        if self._shot_keys is not None:
+            self._order = np.searchsorted(_sortable(self.keys), _sortable(self._shot_keys))
+            self._order.flags.writeable = False
+            self._shot_keys = None
+        return self._order
 
     def shot_index(self) -> np.ndarray:
         """Row of ``keys`` holding each shot, in shot order."""
-        if self._order is not None:
-            return self._order
+        order = self._ordered_index()
+        if order is not None:
+            return order
         return np.repeat(np.arange(self.distinct), self.key_counts)
 
     def distinct_bits(self, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
@@ -170,7 +191,7 @@ class ShotDataset:
         matrix = np.asarray(matrix, dtype=np.uint8)
         if matrix.ndim != 2 or matrix.shape[1] < 1:
             raise DimensionError(f"expected an S x n matrix, got shape {matrix.shape}")
-        return cls._make(matrix.shape[1], *_unique_rows(_pack_bits(matrix)))
+        return cls._from_shot_keys(matrix.shape[1], _pack_bits(matrix))
 
     def subset(self, indices: Sequence[int]) -> "ShotDataset":
         """New dataset containing the shots at the given positions, in order."""
@@ -181,7 +202,7 @@ class ShotDataset:
     def select_distinct(self, mask: np.ndarray) -> "ShotDataset":
         """New dataset with every shot of the distinct strings where the
         boolean ``mask`` (aligned with ``keys``) is true, in shot order."""
-        order = self._order
+        order = self._ordered_index()
         if order is not None:
             order = (np.cumsum(mask) - 1)[order[mask[order]]]
         return ShotDataset._make(self.n, self.keys[mask], self.key_counts[mask], order)
@@ -191,7 +212,7 @@ class ShotDataset:
             isinstance(other, ShotDataset) and self.n == other.n
             and np.array_equal(self.keys, other.keys)
             and np.array_equal(self.key_counts, other.key_counts)
-            and (self._order is None and other._order is None
+            and (self._ordered_index() is None and other._ordered_index() is None
                  or np.array_equal(self.shot_index(), other.shot_index()))
         )
 
@@ -257,15 +278,12 @@ def _sortable(keys: np.ndarray) -> np.ndarray:
 
 
 def _unique_rows(keys: np.ndarray) -> tuple:
-    """Distinct rows of ``keys`` in ascending order, their counts, and the
-    distinct row of each input row."""
-    if keys.shape[1] == 1:  # a 1-D unique of the words sorts fastest
-        rows, inverse, counts = np.unique(
-            keys[:, 0], return_inverse=True, return_counts=True)
-        return rows.reshape(-1, 1), counts, inverse
-    _, first, inverse, counts = np.unique(
-        _sortable(keys), return_index=True, return_inverse=True, return_counts=True)
-    return keys[first], counts, inverse
+    """Distinct rows of ``keys`` in ascending order and their counts, from
+    one sort of the ``_sortable`` items."""
+    rows, counts = np.unique(_sortable(keys), return_counts=True)
+    if keys.shape[1] == 1:
+        return rows.reshape(-1, 1), counts
+    return rows.view(">u8").reshape(-1, keys.shape[1]).astype(np.uint64), counts
 
 
 # characters of a bad line that a ParseError quotes
@@ -299,7 +317,7 @@ def load_shots_text(path) -> ShotDataset:
             texts.append(text)
     if not texts:
         raise EmptyDatasetError(f"{path}: no shots found")
-    return ShotDataset._make(n, *_unique_rows(_pack_bits(_text_bits(texts, n))))
+    return ShotDataset._from_shot_keys(n, _pack_bits(_text_bits(texts, n)))
 
 
 def load_counts(path) -> ShotDataset:
@@ -476,6 +494,13 @@ def _parse_fields(path):
         raise ParseError(f"{path}: missing field {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
+
+
+def _check_integer(name: str, value) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is an integer: a
+    bool, a float or a string is not one, a numpy integer is."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name}: {value!r} is not an integer")
 
 
 # records per block of save_counts: each block's byte matrix stays in cache

@@ -8,7 +8,9 @@ a uniform string XORed with independent flips is still uniform, so the
 output distribution is unchanged and the oracle stays simple.
 
 All randomness comes from numpy's PCG64 generator, so a fixed seed gives a
-bit-identical dataset on any platform.
+bit-identical dataset on any platform. Shots are packed into keys as they
+are drawn, so no S x n bit matrix is built; the dataset derives its shot
+index only when a caller asks for shot order.
 """
 
 from __future__ import annotations
@@ -148,22 +150,23 @@ def generate_shots(
     rng = np.random.default_rng(rng_seed)
 
     depolarized = rng.random(s) < noise.p
-    # Component index drawn for every shot (discarded for depolarized ones)
-    # to keep the stream layout independent of the depolarization draw.
-    cum = np.cumsum(truth.weights)
-    cum[-1] = 1.0
-    comp = np.searchsorted(cum, rng.random(s), side="right")
+    # A component draw for every shot (unused for depolarized ones) keeps
+    # the stream layout independent of the depolarization draw.
+    component_draw = rng.random(s)
 
-    bits = np.empty((s, n), dtype=np.uint8)
+    # a clean shot's key is its component's key XOR the key of its flips
+    keys = np.empty((s, -(-n // 64)), dtype=np.uint64)
     n_dep = int(depolarized.sum())
     if n_dep:
-        bits[depolarized] = rng.integers(0, 2, size=(n_dep, n), dtype=np.uint8)
-    n_clean = s - n_dep
-    if n_clean:
-        centers = _strings_bits(truth.solutions)
-        flips = (rng.random((n_clean, n)) < noise.eps).astype(np.uint8)
-        bits[~depolarized] = centers[comp[~depolarized]] ^ flips
-    return ShotDataset.from_bit_matrix(bits)
+        keys[depolarized] = _pack_bits(rng.integers(0, 2, size=(n_dep, n), dtype=np.uint8))
+    if n_dep < s:
+        clean = ~depolarized
+        cum = np.cumsum(truth.weights)
+        cum[-1] = 1.0
+        comp = np.searchsorted(cum, component_draw[clean], side="right")
+        flips = (rng.random((s - n_dep, n)) < noise.eps).view(np.uint8)
+        keys[clean] = _pack_bits(_strings_bits(truth.solutions))[comp] ^ _pack_bits(flips)
+    return ShotDataset._from_shot_keys(n, keys)
 
 
 def save_ground_truth(truth: GroundTruth, noise: NoiseSpec, path, seed=None) -> None:

@@ -7,6 +7,8 @@ from qem_mix import depfilter
 from qem_mix.cli import dispatch
 from qem_mix.shotdata import load_counts
 
+from conftest import run_python
+
 
 def run(capsys, *argv):
     code = dispatch(list(argv))
@@ -480,6 +482,27 @@ class TestSweepCommand:
         assert code == 2
         assert err.splitlines() == [f"error: {path}: k_max: 4.5 is not an integer"]
         assert not (out / "rows.csv").exists()
+
+    @pytest.mark.parametrize("field,value", [
+        ("t_floor", True), ("t_floor", 65.5), ("eta", True)])
+    def test_mistyped_filter_field_exit_2(self, capsys, tmp_path, field, value):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"n_values": [8], "k_values": [2], "s_values": [50],
+                                    "noise": [{"p": 0.5}], "filter": {field: value}}))
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "--quiet", "sweep", "--config", str(path), "--out", str(out))
+        assert code == 2
+        assert len(err.splitlines()) == 1 and f"{path}: {field}" in err
+        assert not out.exists()
+
+    def test_import_loads_no_pool_module(self):
+        # only a sweep with --jobs > 1 or a radius-r filter pass needs a pool
+        code = ("import sys, qem_mix.cli\n"
+                "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process',\n"
+                "                         'concurrent.futures.thread') if m in sys.modules))")
+        done = run_python(code)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_exit_1_before_load(self, capsys, tmp_path, monkeypatch, jobs):

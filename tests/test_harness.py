@@ -116,6 +116,23 @@ class TestRunSweep:
         # alpha is the empirical mixture weight, so fidelity is near 1
         assert row.hellinger > 0.999
 
+    def test_pool_class_set_on_the_module_is_used(self, monkeypatch):
+        # the pool loads lazily; a class patched in (as the benchmark's
+        # tracer does) must still be the one a sweep starts
+        import qem_mix.harness as harness
+
+        started = []
+
+        class Pool(harness.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+        rows = run_sweep(tiny_config(repeats=2), jobs=2)
+        assert [row.status for row in rows] == ["ok", "ok"]
+        assert started == [2]
+
     def test_repeat_rows_and_order(self):
         rows = run_sweep(tiny_config(repeats=3))
         assert [r.repeat for r in rows] == [0, 1, 2]
@@ -323,6 +340,24 @@ class TestSweepConfigIO:
     ], ids=["unknown-key", "unknown-noise-key", "float-n", "string-n", "bool-n",
             "float-subsample-point", "float-k-max"])
     def test_malformed_field_names_file_and_field(self, tmp_path, change, name):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(dict(
+            {"n_values": [8], "k_values": [2], "s_values": [200], "noise": [{"p": 0.5}]},
+            **change)))
+        with pytest.raises(ParseError) as info:
+            load_sweep_config(path)
+        assert str(info.value).startswith(f"{path}: ") and name in str(info.value)
+
+    @pytest.mark.parametrize("change,name", [
+        ({"filter": {"t_floor": True}}, "t_floor"),
+        ({"filter": {"t_floor": 65.5}}, "t_floor"),
+        ({"filter": {"eta": True}}, "eta"),
+        ({"n_values": 8}, "n_values"),
+        ({"noise": {"p": 0.5}}, "noise"),
+        ({"subsample_points": [100, "8"]}, "subsample_points"),
+    ], ids=["bool-t-floor", "float-t-floor", "bool-eta", "scalar-axis", "object-noise",
+            "mixed-subsample-points"])
+    def test_mistyped_field_names_file_and_field(self, tmp_path, change, name):
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps(dict(
             {"n_values": [8], "k_values": [2], "s_values": [200], "noise": [{"p": 0.5}]},

@@ -104,6 +104,34 @@ class TestShotDataset:
         ds = ShotDataset.from_bit_matrix(mat)
         assert np.array_equal(ds.bit_matrix, mat)
 
+    def test_views_before_and_after_the_index_is_derived(self, rng):
+        # ordered shots keep their keys and derive the shot index on first
+        # use; every view must equal that of the same shots held with a
+        # shot index found by np.unique
+        from qem_mix.emcore import MixtureModel, e_step
+
+        for n in (5, 70):
+            mat = rng.integers(0, 2, size=(60, n), dtype=np.uint8)
+            mat[30:] = mat[rng.permutation(30)]
+            _, index, counts = np.unique(mat, axis=0, return_inverse=True, return_counts=True)
+            keys = ShotDataset.from_bit_matrix(mat).keys
+            derived = ShotDataset._make(n, keys, counts, index.reshape(-1))
+            mask = np.arange(derived.distinct) % 3 != 1
+            idx = rng.choice(60, size=25, replace=False)
+            model = MixtureModel((derived.shots[0], derived.shots[1]), [0.4, 0.6], [0.1] * n)
+            views = {
+                "subset": lambda ds: ds.subset(idx),
+                "select_distinct": lambda ds: ds.select_distinct(mask),
+                "bit_matrix": lambda ds: ds.bit_matrix.tolist(),
+                "shots": lambda ds: ds.shots,
+                "e_step": lambda ds: e_step(ds, model).tolist(),
+            }
+            for name, view in views.items():
+                fresh = ShotDataset.from_bit_matrix(mat)
+                assert fresh._order is None, name
+                assert view(fresh) == view(derived), name
+                assert fresh == derived, name
+
     def test_subset_preserves_order(self):
         ds = ShotDataset([B("00"), B("01"), B("10"), B("11")])
         sub = ds.subset([0, 2])

@@ -156,6 +156,41 @@ class TestGenerateShots:
         assert abs(freq - 0.9) < 0.02
 
 
+def reference_generate(truth, noise, s, seed):
+    """Shots drawn as an S x n bit matrix, the way ``generate_shots`` drew
+    them before it packed them as drawn; the same draws in the same order."""
+    rng = np.random.default_rng(seed)
+    depolarized = rng.random(s) < noise.p
+    cum = np.cumsum(truth.weights)
+    cum[-1] = 1.0
+    comp = np.searchsorted(cum, rng.random(s), side="right")
+    bits = np.empty((s, truth.n), dtype=np.uint8)
+    n_dep = int(depolarized.sum())
+    if n_dep:
+        bits[depolarized] = rng.integers(0, 2, size=(n_dep, truth.n), dtype=np.uint8)
+    if n_dep < s:
+        centers = np.array([x.bits() for x in truth.solutions])
+        flips = (rng.random((s - n_dep, truth.n)) < noise.eps).astype(np.uint8)
+        bits[~depolarized] = centers[comp[~depolarized]] ^ flips
+    return bits
+
+
+class TestGenerateShotsReference:
+    @pytest.mark.parametrize("n", [1, 7, 8, 20, 63, 64, 65, 128, 130])
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_equals_bit_matrix_construction(self, n, p, k):
+        truth = sample_ground_truth(n, min(k, 1 << n), 100 + n)
+        noise = NoiseSpec(p=p, eps=sample_flip_probabilities(n, 200 + n))
+        ds = generate_shots(truth, noise, 300, 300 + n)
+        bits = reference_generate(truth, noise, 300, 300 + n)
+        rows, index, counts = np.unique(bits, axis=0, return_inverse=True, return_counts=True)
+        assert np.array_equal(ds.distinct_bits(), rows)
+        assert ds.key_counts.tolist() == counts.tolist()
+        assert ds.shot_index().tolist() == index.reshape(-1).tolist()
+        assert np.array_equal(ds.bit_matrix, bits)
+
+
 class TestSidecarIO:
     def test_round_trip(self, tmp_path):
         gt = sample_ground_truth(10, 4, 71)

@@ -404,6 +404,14 @@ def load_sweep_config(path) -> SweepConfig:
     doc = _read_json_object(path)
     with _parse_fields(path):
         _check_axis("noise", doc["noise"])
-        return SweepConfig(**dict(doc, noise=tuple(NoiseGrid(**e) for e in doc["noise"]),
-                                  filter=FilterConfig(**doc.get("filter", {})),
-                                  em=EmConfig(**doc.get("em", {}))))
+        return SweepConfig(**dict(
+            doc, noise=tuple(_from_object(NoiseGrid, "noise", e) for e in doc["noise"]),
+            filter=_from_object(FilterConfig, "filter", doc.get("filter", {})),
+            em=_from_object(EmConfig, "em", doc.get("em", {}))))
+
+
+def _from_object(cls, name: str, fields):
+    """``cls(**fields)``; a ValueError naming ``name`` unless it is an object."""
+    if not isinstance(fields, dict):
+        raise ValueError(f"{name}: {fields!r} is not an object")
+    return cls(**fields)

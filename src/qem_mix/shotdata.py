@@ -10,7 +10,8 @@ Conventions used throughout the package:
   ascending order plus their counts (see ``ShotDataset``). Loading,
   filtering, EM and saving run on that form; ``BitString`` objects are
   built only for callers that ask for them. Ordered shots keep their
-  per-shot keys, and their shot index is derived on first use.
+  per-shot keys, and ``shot_index()`` searches them on each call, so a
+  dataset never changes once built, apart from its cached views.
 * Only this module knows the key layout and the key order. Its codec
   helpers are the only encoders and decoders of the layout: ``_text_bits``,
   ``_pack_bits``, ``_unpack_bits``, ``_key_values``, ``_strings_bits`` and
@@ -103,13 +104,13 @@ class ShotDataset:
 
     Held count-native: ``keys`` are the U distinct strings in ascending
     order, each packed into W = ceil(n/64) uint64 words (word 0 the most
-    significant), and ``key_counts`` their int64 counts. Per-shot order is
-    an index into ``keys``. Datasets built from ordered shots (BitStrings,
-    bit matrices, text files, generated shots) keep their S x W per-shot
-    keys instead, and derive the index from them on first use; subsets
-    keep the index itself. A count table expands in key order. The
-    BitString views ``shots``, ``counts`` and ``bit_matrix`` are built
-    lazily.
+    significant), and ``key_counts`` their int64 counts. Datasets of
+    ordered shots (BitStrings, bit matrices, text files, generated shots,
+    subsets, and what ``select_distinct`` keeps of these) also keep their
+    S x W per-shot keys, the only stored form of shot order; a count
+    table holds none and expands in key order. ``shot_index()`` computes
+    the index into ``keys`` on each call. The BitString views ``shots``,
+    ``counts`` and ``bit_matrix`` are built lazily and cached.
     """
 
     def __init__(self, shots: Iterable[BitString]):
@@ -122,9 +123,9 @@ class ShotDataset:
         self._set(n, *_unique_rows(shot_keys), shot_keys=shot_keys)
 
     @classmethod
-    def _make(cls, n, keys, key_counts, order=None, shot_keys=None) -> "ShotDataset":
+    def _make(cls, n, keys, key_counts, shot_keys=None) -> "ShotDataset":
         dataset = cls.__new__(cls)
-        dataset._set(n, keys, key_counts, order, shot_keys)
+        dataset._set(n, keys, key_counts, shot_keys)
         return dataset
 
     @classmethod
@@ -132,31 +133,21 @@ class ShotDataset:
         """The dataset of S x W per-shot keys of n bits, in shot order."""
         return cls._make(n, *_unique_rows(shot_keys), shot_keys=shot_keys)
 
-    def _set(self, n, keys, key_counts, order=None, shot_keys=None):
+    def _set(self, n, keys, key_counts, shot_keys=None):
         if not len(key_counts):
             raise EmptyDatasetError("a dataset must contain at least one shot")
-        for arr in (keys, key_counts, order, shot_keys):
+        for arr in (keys, key_counts, shot_keys):
             if arr is not None:
                 arr.flags.writeable = False
         self.n, self.s, self.distinct = n, int(key_counts.sum()), len(keys)
-        self.keys, self.key_counts = keys, key_counts
-        self._order, self._shot_keys = order, shot_keys
-
-    def _ordered_index(self) -> Optional[np.ndarray]:
-        """The shot index of ordered shots, searched from their keys on the
-        first call (which then drops them); None for a count table."""
-        if self._shot_keys is not None:
-            self._order = np.searchsorted(_sortable(self.keys), _sortable(self._shot_keys))
-            self._order.flags.writeable = False
-            self._shot_keys = None
-        return self._order
+        self.keys, self.key_counts, self._shot_keys = keys, key_counts, shot_keys
 
     def shot_index(self) -> np.ndarray:
-        """Row of ``keys`` holding each shot, in shot order."""
-        order = self._ordered_index()
-        if order is not None:
-            return order
-        return np.repeat(np.arange(self.distinct), self.key_counts)
+        """Row of ``keys`` holding each shot, in shot order: searched from
+        the per-shot keys of ordered shots on each call."""
+        if self._shot_keys is None:
+            return np.repeat(np.arange(self.distinct), self.key_counts)
+        return np.searchsorted(_sortable(self.keys), _sortable(self._shot_keys))
 
     def distinct_bits(self, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
         """uint8 bit matrix of the distinct strings in key order: all U of
@@ -195,24 +186,25 @@ class ShotDataset:
 
     def subset(self, indices: Sequence[int]) -> "ShotDataset":
         """New dataset containing the shots at the given positions, in order."""
-        rows = self.shot_index()[np.asarray(indices, dtype=np.intp)]
-        kept, order = np.unique(rows, return_inverse=True)
-        return ShotDataset._make(self.n, self.keys[kept], np.bincount(order), order)
+        indices = np.asarray(indices, dtype=np.intp)
+        if self._shot_keys is None:
+            return ShotDataset._from_shot_keys(self.n, self.keys[self.shot_index()[indices]])
+        return ShotDataset._from_shot_keys(self.n, self._shot_keys[indices])
 
     def select_distinct(self, mask: np.ndarray) -> "ShotDataset":
         """New dataset with every shot of the distinct strings where the
         boolean ``mask`` (aligned with ``keys``) is true, in shot order."""
-        order = self._ordered_index()
-        if order is not None:
-            order = (np.cumsum(mask) - 1)[order[mask[order]]]
-        return ShotDataset._make(self.n, self.keys[mask], self.key_counts[mask], order)
+        shot_keys = self._shot_keys
+        if shot_keys is not None:
+            shot_keys = shot_keys[mask[self.shot_index()]]
+        return ShotDataset._make(self.n, self.keys[mask], self.key_counts[mask], shot_keys)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ShotDataset) and self.n == other.n
             and np.array_equal(self.keys, other.keys)
             and np.array_equal(self.key_counts, other.key_counts)
-            and (self._ordered_index() is None and other._ordered_index() is None
+            and (self._shot_keys is None and other._shot_keys is None
                  or np.array_equal(self.shot_index(), other.shot_index()))
         )
 

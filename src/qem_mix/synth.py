@@ -8,9 +8,9 @@ a uniform string XORed with independent flips is still uniform, so the
 output distribution is unchanged and the oracle stays simple.
 
 All randomness comes from numpy's PCG64 generator, so a fixed seed gives a
-bit-identical dataset on any platform. Shots are packed into keys as they
-are drawn, so no S x n bit matrix is built; the dataset derives its shot
-index only when a caller asks for shot order.
+bit-identical dataset on any platform. Shots are drawn in blocks of rows
+and packed into keys as they are drawn, so memory beyond the S x W keys
+stays bounded and no S x n bit matrix is built.
 """
 
 from __future__ import annotations
@@ -138,6 +138,10 @@ def sample_flip_probabilities(
     return rng.uniform(low, high, size=n)
 
 
+# bits per block of generate_shots' draws, whatever S is: 8 MiB of doubles
+_DRAW_BITS = 1 << 20
+
+
 def generate_shots(
     truth: GroundTruth, noise: NoiseSpec, s: int, rng_seed: int
 ) -> ShotDataset:
@@ -154,18 +158,25 @@ def generate_shots(
     # the stream layout independent of the depolarization draw.
     component_draw = rng.random(s)
 
-    # a clean shot's key is its component's key XOR the key of its flips
+    # Bits are drawn in blocks of rows, every depolarized block before every
+    # flip block, as one draw of each. A uint8 integers draw takes whole
+    # 32-bit words, so a block continues the stream unchanged only if it
+    # holds 4k values: the rows per block are a multiple of 4.
+    rows = max(4, _DRAW_BITS // n // 4 * 4)
     keys = np.empty((s, -(-n // 64)), dtype=np.uint64)
-    n_dep = int(depolarized.sum())
-    if n_dep:
-        keys[depolarized] = _pack_bits(rng.integers(0, 2, size=(n_dep, n), dtype=np.uint8))
-    if n_dep < s:
-        clean = ~depolarized
-        cum = np.cumsum(truth.weights)
-        cum[-1] = 1.0
-        comp = np.searchsorted(cum, component_draw[clean], side="right")
-        flips = (rng.random((s - n_dep, n)) < noise.eps).view(np.uint8)
-        keys[clean] = _pack_bits(_strings_bits(truth.solutions))[comp] ^ _pack_bits(flips)
+    dep, clean = np.flatnonzero(depolarized), np.flatnonzero(~depolarized)
+    for lo in range(0, len(dep), rows):
+        at = dep[lo:lo + rows]
+        keys[at] = _pack_bits(rng.integers(0, 2, size=(len(at), n), dtype=np.uint8))
+    # a clean shot's key is its component's key XOR the key of its flips
+    cum = np.cumsum(truth.weights)
+    cum[-1] = 1.0
+    solution_keys = _pack_bits(_strings_bits(truth.solutions))
+    for lo in range(0, len(clean), rows):
+        at = clean[lo:lo + rows]
+        comp = np.searchsorted(cum, component_draw[at], side="right")
+        flips = (rng.random((len(at), n)) < noise.eps).view(np.uint8)
+        keys[at] = solution_keys[comp] ^ _pack_bits(flips)
     return ShotDataset._from_shot_keys(n, keys)
 
 

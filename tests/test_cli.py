@@ -495,6 +495,20 @@ class TestSweepCommand:
         assert len(err.splitlines()) == 1 and f"{path}: {field}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("change,shown", [
+        ({"noise": [5]}, "noise: 5"), ({"filter": 3}, "filter: 3"),
+        ({"filter": None}, "filter: None"), ({"em": [1]}, "em: [1]"),
+    ], ids=["number-noise-entry", "number-filter", "null-filter", "list-em"])
+    def test_non_object_field_exit_2(self, capsys, tmp_path, change, shown):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(dict({"n_values": [8], "k_values": [2], "s_values": [50],
+                                         "noise": [{"p": 0.5}]}, **change)))
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "--quiet", "sweep", "--config", str(path), "--out", str(out))
+        assert code == 2
+        assert err.splitlines() == [f"error: {path}: {shown} is not an object"]
+        assert not (out / "rows.csv").exists()
+
     def test_import_loads_no_pool_module(self):
         # only a sweep with --jobs > 1 or a radius-r filter pass needs a pool
         code = ("import sys, qem_mix.cli\n"

@@ -105,32 +105,35 @@ class TestShotDataset:
         assert np.array_equal(ds.bit_matrix, mat)
 
     def test_views_before_and_after_the_index_is_derived(self, rng):
-        # ordered shots keep their keys and derive the shot index on first
-        # use; every view must equal that of the same shots held with a
-        # shot index found by np.unique
+        # ordered shots keep their keys and search the shot index on each
+        # call; every view must equal the one numpy computes from the bit
+        # matrix, and the dataset must still equal the same shots after it
         from qem_mix.emcore import MixtureModel, e_step
 
         for n in (5, 70):
             mat = rng.integers(0, 2, size=(60, n), dtype=np.uint8)
             mat[30:] = mat[rng.permutation(30)]
-            _, index, counts = np.unique(mat, axis=0, return_inverse=True, return_counts=True)
-            keys = ShotDataset.from_bit_matrix(mat).keys
-            derived = ShotDataset._make(n, keys, counts, index.reshape(-1))
-            mask = np.arange(derived.distinct) % 3 != 1
+            rows, index = np.unique(mat, axis=0, return_inverse=True)
+            index = index.reshape(-1)
+            mask = np.arange(len(rows)) % 3 != 1
             idx = rng.choice(60, size=25, replace=False)
-            model = MixtureModel((derived.shots[0], derived.shots[1]), [0.4, 0.6], [0.1] * n)
+            alpha, eps = np.array([0.4, 0.6]), np.full(n, 0.1)
+            model = MixtureModel(tuple(map(BitString.from_bits, mat[:2])), alpha, eps)
+            texts = ["".join(map(str, row)) for row in mat]
             views = {
-                "subset": lambda ds: ds.subset(idx),
-                "select_distinct": lambda ds: ds.select_distinct(mask),
-                "bit_matrix": lambda ds: ds.bit_matrix.tolist(),
-                "shots": lambda ds: ds.shots,
-                "e_step": lambda ds: e_step(ds, model).tolist(),
+                "subset": (lambda ds: ds.subset(idx).bit_matrix, mat[idx]),
+                "select_distinct": (lambda ds: ds.select_distinct(mask).bit_matrix,
+                                    mat[mask[index]]),
+                "bit_matrix": (lambda ds: ds.bit_matrix, mat),
+                "shots": (lambda ds: [s.text for s in ds.shots], texts),
+                "e_step": (lambda ds: e_step(ds, model), posterior(mat, mat[:2], alpha, eps)),
             }
-            for name, view in views.items():
+            for name, (view, reference) in views.items():
                 fresh = ShotDataset.from_bit_matrix(mat)
-                assert fresh._order is None, name
-                assert view(fresh) == view(derived), name
-                assert fresh == derived, name
+                same = np.allclose if name == "e_step" else np.array_equal
+                assert same(view(fresh), reference), name
+                assert fresh == ShotDataset.from_bit_matrix(mat), name
+                assert fresh != ShotDataset.from_bit_matrix(mat[::-1]), name
 
     def test_subset_preserves_order(self):
         ds = ShotDataset([B("00"), B("01"), B("10"), B("11")])
@@ -156,6 +159,113 @@ class TestShotDataset:
             band = ds.distinct_bits(start, stop)
             assert band.shape == (len(texts[start:stop]), 70)
             assert ["".join(map(str, row)) for row in band.tolist()] == texts[start:stop]
+
+
+def assert_holds(ds, mat):
+    """``ds`` holds the shots of the S x n {0,1} matrix ``mat``, in its row
+    order: every field checked against np.unique of the rows."""
+    rows, index, counts = np.unique(mat, axis=0, return_inverse=True, return_counts=True)
+    assert (ds.n, ds.s, ds.distinct) == (mat.shape[1], len(mat), len(rows))
+    assert np.array_equal(ds.distinct_bits(), rows)
+    assert np.array_equal(ds.key_counts, counts)
+    assert np.array_equal(ds.shot_index(), index.reshape(-1))
+    assert np.array_equal(ds.bit_matrix, mat)
+
+
+def posterior(mat, centers, alpha, eps):
+    """S x K responsibilities of a Bernoulli flip mixture, in numpy."""
+    far = mat[:, None, :] != centers[None]
+    log = np.log(alpha) + np.where(far, np.log(eps), np.log1p(-eps)).sum(axis=2)
+    w = np.exp(log - log.max(axis=1, keepdims=True))
+    return w / w.sum(axis=1, keepdims=True)
+
+
+# the BitString views a dataset caches on first use
+CACHED_VIEWS = {"_strings", "shots", "counts", "bit_matrix"}
+
+
+class TestShotOrderReference:
+    """Ordered datasets and count tables against numpy on their bit matrix."""
+
+    @pytest.fixture(params=[5, 64, 65, 130])
+    def n(self, request):
+        return request.param
+
+    @pytest.fixture(params=["ordered", "table"])
+    def case(self, request, n, rng):
+        """A dataset and the bit matrix it expands to."""
+        mat = rng.integers(0, 2, size=(90, n), dtype=np.uint8)[rng.integers(0, 90, 240)]
+        if request.param == "ordered":
+            return ShotDataset.from_bit_matrix(mat), mat
+        rows, counts = np.unique(mat, axis=0, return_counts=True)
+        table = ShotDataset._make(n, shotdata._pack_bits(rows), counts)
+        return table, np.repeat(rows, counts, axis=0)
+
+    def test_shot_index_and_bit_matrix(self, case):
+        assert_holds(*case)
+
+    def test_subset_and_subset_of_subset(self, case, rng):
+        ds, mat = case
+        idx = rng.integers(0, len(mat), size=150)  # repeats allowed
+        again = rng.permutation(150)[:70]
+        assert_holds(ds.subset(idx), mat[idx])
+        assert_holds(ds.subset(idx).subset(again), mat[idx][again])
+        assert_holds(ds.subset(np.arange(len(mat))), mat)
+
+    def test_select_distinct_of_dataset_and_subset(self, case, rng):
+        ds, mat = case
+        idx = rng.permutation(len(mat))[:100]
+        for data, rows in ((ds, mat), (ds.subset(idx), mat[idx])):
+            _, index = np.unique(rows, axis=0, return_inverse=True)
+            mask = rng.random(data.distinct) < 0.6
+            mask[0] = True
+            assert_holds(data.select_distinct(mask), rows[mask[index.reshape(-1)]])
+
+    def test_e_step(self, case, rng, n):
+        from qem_mix.emcore import MixtureModel, e_step
+
+        ds, mat = case
+        centers = rng.integers(0, 2, size=(3, n), dtype=np.uint8)
+        alpha, eps = np.array([0.2, 0.3, 0.5]), rng.uniform(0.05, 0.3, size=n)
+        model = MixtureModel(tuple(map(BitString.from_bits, centers)), alpha, eps)
+        assert np.allclose(e_step(ds, model), posterior(mat, centers, alpha, eps))
+        idx = rng.permutation(len(mat))[:50]
+        assert np.allclose(e_step(ds.subset(idx), model),
+                           posterior(mat[idx], centers, alpha, eps))
+
+    def test_equality_follows_the_bit_matrix(self, case, n):
+        ds, mat = case
+        turned = mat[::-1]
+        assert not np.array_equal(turned, mat)
+        assert ds == ShotDataset.from_bit_matrix(mat)
+        assert ShotDataset.from_bit_matrix(mat) == ds
+        assert ds != ShotDataset.from_bit_matrix(turned)
+        assert ds.subset(np.arange(len(mat))[::-1]) == ShotDataset.from_bit_matrix(turned)
+        rows, counts = np.unique(mat, axis=0, return_counts=True)
+        table = ShotDataset._make(n, shotdata._pack_bits(rows), counts)
+        in_key_order = np.array_equal(mat, np.repeat(rows, counts, axis=0))
+        assert (ds == table) == in_key_order
+        assert (table == ds) == in_key_order
+
+    def test_reading_leaves_the_dataset_unchanged(self, case, rng, n):
+        # apart from its cached views, a dataset never changes once built
+        from qem_mix.emcore import MixtureModel, e_step
+
+        ds, mat = case
+        before = {k: v for k, v in vars(ds).items() if k not in CACHED_VIEWS}
+        model = MixtureModel(tuple(map(BitString.from_bits, mat[:1])), [1.0], [0.1] * n)
+        reads = {
+            "shot_index": lambda: ds.shot_index(),
+            "subset": lambda: ds.subset([3, 1, 3]),
+            "select_distinct": lambda: ds.select_distinct(np.arange(ds.distinct) % 2 == 0),
+            "e_step": lambda: e_step(ds, model),
+            "==": lambda: ds == ShotDataset.from_bit_matrix(mat),
+        }
+        for name, read in reads.items():
+            read()
+            after = {k: v for k, v in vars(ds).items() if k not in CACHED_VIEWS}
+            assert after.keys() == before.keys(), name
+            assert all(after[k] is v for k, v in before.items()), name
 
 
 def padded_pack_bits(bits):

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from qem_mix.synth import (
     sample_ground_truth,
     save_ground_truth,
 )
+
+from conftest import run_python
 
 
 class TestNoiseSpec:
@@ -189,6 +192,44 @@ class TestGenerateShotsReference:
         assert ds.key_counts.tolist() == counts.tolist()
         assert ds.shot_index().tolist() == index.reshape(-1).tolist()
         assert np.array_equal(ds.bit_matrix, bits)
+
+
+class TestBlockedDraws:
+    # blocks of 4k rows continue the generator's stream; other row counts
+    # (13 rows of 3 bits, 41 rows of 1 bit) would not
+    @pytest.mark.parametrize("draw_bits", [1, 40, 41])
+    @pytest.mark.parametrize("n", [1, 3, 7, 65])
+    @pytest.mark.parametrize("p", [0.0, 0.4, 1.0])
+    def test_blocks_equal_one_draw(self, monkeypatch, draw_bits, n, p):
+        from qem_mix import synth
+
+        monkeypatch.setattr(synth, "_DRAW_BITS", draw_bits)
+        truth = sample_ground_truth(n, min(2, 1 << n), 400 + n)
+        noise = NoiseSpec(p=p, eps=sample_flip_probabilities(n, 500 + n))
+        ds = generate_shots(truth, noise, 1001, 600 + n)
+        assert np.array_equal(ds.bit_matrix, reference_generate(truth, noise, 1001, 600 + n))
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_peak_memory_is_bounded(self, p):
+        # S x n uint8 bits would be 64 MB here, and their flip doubles 512 MB.
+        # VmHWM is this process's own peak: ru_maxrss keeps the peak of the
+        # process that forked it
+        code = (
+            "def peak():\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        return next(int(l.split()[1]) for l in fh if l.startswith('VmHWM:'))\n"
+            "from qem_mix.synth import (NoiseSpec, generate_shots,\n"
+            "                           sample_flip_probabilities, sample_ground_truth)\n"
+            "truth = sample_ground_truth(128, 4, 1)\n"
+            f"noise = NoiseSpec(p={p}, eps=sample_flip_probabilities(128, 2))\n"
+            "before = peak()\n"
+            "generate_shots(truth, noise, 500_000, 3)\n"
+            "print((peak() - before) // 1024)\n"
+        )
+        done = run_python(code)
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) < 64  # MB above the process's peak before the call
 
 
 class TestSidecarIO:

@@ -199,19 +199,17 @@ def _cmd_filter(args) -> int:
     if args.out:
         save_counts(report.kept, args.out)
         log.info("wrote %s", args.out)
-    print(
-        f"filter: S_in={dataset.s} S_out={report.kept.s} "
-        f"r={report.radius} T={report.threshold_used:g} lambda={report.lam:g} "
-        f"removed={report.removed_count}"
-    )
-    print(json.dumps({
+    doc = {
         "s_in": dataset.s,
         "s_out": report.kept.s,
         "radius": report.radius,
         "threshold": report.threshold_used,
         "lambda": report.lam,
         "removed": report.removed_count,
-    }, sort_keys=True))
+    }
+    print("filter: S_in={s_in} S_out={s_out} r={radius} T={threshold:g} "
+          "lambda={lambda:g} removed={removed}".format(**doc))
+    print(json.dumps(doc, sort_keys=True))
     return 0
 
 

@@ -167,8 +167,9 @@ def _loglik_matrix(yf: np.ndarray, xb: np.ndarray, eps: np.ndarray) -> np.ndarra
     Expanding the XOR as y + x - 2xy turns the bit-mismatch sum into one
     U*n*K matmul plus rank-1 terms.
     """
-    logit = np.log(eps) - np.log1p(-eps)
-    base = float(np.log1p(-eps).sum())
+    log_keep = np.log1p(-eps)
+    logit = np.log(eps) - log_keep
+    base = float(log_keep.sum())
     xf = xb.astype(np.float64)
     yl = yf @ logit
     xl = xf @ logit
@@ -212,12 +213,12 @@ def log_likelihood(dataset: ShotDataset, model: MixtureModel) -> float:
 
 
 def _mml_penalty(s: int, n: int, alpha: np.ndarray) -> float:
-    live = alpha[alpha > 0]
-    k_nz = live.size
+    """The MML coding penalty of ``alpha``, whose weights are all positive."""
+    k_nz = alpha.size
     return (
         -0.5 * k_nz * math.log(s / 12.0)
         - 0.5 * (k_nz * n + k_nz)
-        - 0.5 * n * float(np.log(s * live / 12.0).sum())
+        - 0.5 * n * float(np.log(s * alpha / 12.0).sum())
     )
 
 
@@ -367,7 +368,6 @@ def run_em_fixed_k(
             live = alpha > 0
             if not live.all():
                 alpha = alpha[live]
-                xb = xb[live]
                 wc = _softmax_rows(a[:, live])[0] * c[:, None]
         else:
             alpha = wc.sum(axis=0) / s

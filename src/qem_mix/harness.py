@@ -12,6 +12,7 @@ timings.csv.
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 import time
 from contextlib import ExitStack
@@ -113,7 +114,11 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One pipeline run: a (cell, repeat, subsample point) combination."""
+    """One pipeline run: a (cell, repeat, subsample point) combination.
+
+    The fields after ``repeat`` default to None, except ``filter_fallback``
+    (False), ``runtime_ms`` (0.0) and ``status`` ("ok"). A failed row
+    carries only its ``status`` and ``runtime_ms``."""
 
     n: int
     k_true: int
@@ -123,15 +128,15 @@ class SweepRow:
     eps_low: float
     eps_high: float
     repeat: int
-    k_hat: Optional[int]
-    ber: Optional[float]
-    k_error_flag: Optional[bool]
-    hellinger: Optional[float]
-    filter_kept_fraction: Optional[float]
-    filter_fallback: bool
-    iterations: Optional[int]
-    runtime_ms: float
-    status: str
+    k_hat: Optional[int] = None
+    ber: Optional[float] = None
+    k_error_flag: Optional[bool] = None
+    hellinger: Optional[float] = None
+    filter_kept_fraction: Optional[float] = None
+    filter_fallback: bool = False
+    iterations: Optional[int] = None
+    runtime_ms: float = 0.0
+    status: str = "ok"
 
 
 # rows.csv columns: every row field but the wall-clock one, in field order
@@ -212,13 +217,6 @@ def _run_repeat(task) -> list:
     # index each one derives its seed from
     points = [point for point in config.subsample_points or (s,) if point <= s]
 
-    def failed(point, status, runtime_ms=0.0):
-        return SweepRow(
-            **base, s_used=point, k_hat=None, ber=None, k_error_flag=None,
-            hellinger=None, filter_kept_fraction=None, filter_fallback=False,
-            iterations=None, runtime_ms=runtime_ms, status=status,
-        )
-
     try:
         truth = sample_ground_truth(n, k, truth_seed)
         eps = sample_flip_probabilities(
@@ -227,7 +225,7 @@ def _run_repeat(task) -> list:
         noise = NoiseSpec(p=noise_grid.p, eps=eps)
         full = generate_shots(truth, noise, s, shots_seed)
     except Exception as exc:  # noqa: BLE001 - recorded, sweep must go on
-        return [failed(point, f"generate: {exc}") for point in points]
+        return [SweepRow(**base, s_used=point, status=f"generate: {exc}") for point in points]
 
     rows = []
     for point_idx, point in enumerate(points):
@@ -242,37 +240,31 @@ def _run_repeat(task) -> list:
         try:
             result = run_pipeline(dataset, config.filter, em_config)
             eval_res, hf = _evaluate_run(truth, result)
-            runtime_ms = (time.perf_counter() - start) * 1000.0
-            kept_fraction = (
-                result.filter_report.kept.s / dataset.s
-                if result.filter_report is not None
-                else 1.0
-            )
-            rows.append(SweepRow(
-                **base, s_used=point,
+            outcome = dict(
                 k_hat=result.report.k_hat,
                 ber=eval_res.ber,
                 k_error_flag=not eval_res.k_correct,
                 hellinger=hf,
-                filter_kept_fraction=kept_fraction,
+                filter_kept_fraction=(
+                    result.filter_report.kept.s / dataset.s
+                    if result.filter_report is not None
+                    else 1.0
+                ),
                 filter_fallback=result.filter_fallback,
                 iterations=result.report.iterations_total,
-                runtime_ms=runtime_ms,
-                status="ok",
-            ))
+            )
         except Exception as exc:  # noqa: BLE001
-            runtime_ms = (time.perf_counter() - start) * 1000.0
-            rows.append(failed(point, f"{type(exc).__name__}: {exc}", runtime_ms))
+            outcome = dict(status=f"{type(exc).__name__}: {exc}")
+        runtime_ms = (time.perf_counter() - start) * 1000.0
+        rows.append(SweepRow(**base, s_used=point, runtime_ms=runtime_ms, **outcome))
     return rows
 
 
 def _tasks(config: SweepConfig):
-    for noise_idx in range(len(config.noise)):
-        for n in config.n_values:
-            for k in config.k_values:
-                for s in config.s_values:
-                    for repeat in range(config.repeats):
-                        yield (config, noise_idx, n, k, s, repeat)
+    return itertools.product(
+        [config], range(len(config.noise)), config.n_values, config.k_values,
+        config.s_values, range(config.repeats),
+    )
 
 
 def run_sweep(config: SweepConfig, jobs: int = 1, out_dir=None) -> list:
@@ -326,11 +318,9 @@ def _row_writer(out_dir, stack: ExitStack):
 
     def write(chunk):
         for row in chunk:
-            rows_csv.writerow(_csv_record(row))
-            timings_csv.writerow([
-                row.n, row.k_true, row.s_full, row.s_used, row.p, row.repeat,
-                f"{row.runtime_ms:.3f}",
-            ])
+            rows_csv.writerow([_csv_cell(getattr(row, name)) for name in ROW_FIELDS])
+            timings = dict(vars(row), runtime_ms=f"{row.runtime_ms:.3f}")
+            timings_csv.writerow([timings[name] for name in TIMING_FIELDS])
     return write
 
 
@@ -340,10 +330,6 @@ def _csv_cell(value):
     if isinstance(value, bool):
         return int(value)
     return value
-
-
-def _csv_record(row: SweepRow) -> list:
-    return [_csv_cell(getattr(row, name)) for name in ROW_FIELDS]
 
 
 def aggregate(rows: Sequence[SweepRow]) -> list:
@@ -367,21 +353,18 @@ def aggregate(rows: Sequence[SweepRow]) -> list:
             "eps_low": key[4], "eps_high": key[5],
             "runs": len(group),
             "failed": len(group) - len(ok),
-            "p_k_error": (
-                sum(1 for r in ok if r.k_error_flag) / len(ok) if ok else None
-            ),
-            "ber_mean_correct_k": (
-                sum(r.ber for r in correct) / len(correct) if correct else None
-            ),
-            "hellinger_mean_correct_k": (
-                sum(r.hellinger for r in correct) / len(correct) if correct else None
-            ),
-            "mean_kept_fraction": (
-                sum(r.filter_kept_fraction for r in ok) / len(ok) if ok else None
-            ),
+            "p_k_error": _mean([r.k_error_flag for r in ok]),
+            "ber_mean_correct_k": _mean([r.ber for r in correct]),
+            "hellinger_mean_correct_k": _mean([r.hellinger for r in correct]),
+            "mean_kept_fraction": _mean([r.filter_kept_fraction for r in ok]),
         }
         table.append(entry)
     return table
+
+
+def _mean(values: list) -> Optional[float]:
+    """Mean of ``values``; None for an empty list."""
+    return sum(values) / len(values) if values else None
 
 
 def write_summary_json(table: list, path) -> None:

@@ -324,6 +324,26 @@ class TestFilterCommand:
         assert f" r={report['radius']} " in lines[0]
         assert report["s_out"] == 3
 
+    @pytest.mark.parametrize("flags, t_floor, lines", [
+        (["--n", "20", "--k", "4", "--s", "100000", "--seed", "11"], "2", [
+            "filter: S_in=100000 S_out=35364 r=1 T=3.00407 lambda=0.0953674 removed=64636",
+            '{"lambda": 0.095367431640625, "radius": 1, "removed": 64636, "s_in": 100000, '
+            '"s_out": 35364, "threshold": 3.0040740966796875}',
+        ]),
+        (["--n", "128", "--k", "4", "--s", "2000", "--seed", "13"], "65", [
+            "filter: S_in=2000 S_out=193 r=51 T=65 lambda=5.87747e-36 removed=1807",
+            '{"lambda": 5.8774717541114375e-36, "radius": 51, "removed": 1807, "s_in": 2000, '
+            '"s_out": 193, "threshold": 65.0}',
+        ]),
+    ], ids=["radius-1", "widened"])
+    def test_report_lines_are_pinned(self, capsys, tmp_path, flags, t_floor, lines):
+        # both forms of the report, whole, on a radius-1 and a widened filter
+        data = tmp_path / "data.json"
+        assert run(capsys, "generate", *flags, "--out", str(data))[0] == 0
+        code, out, _ = run(capsys, "filter", str(data), "--t-floor", t_floor)
+        assert code == 0
+        assert out.splitlines() == lines
+
     def test_writes_filtered_counts(self, capsys, tmp_path):
         shots = tmp_path / "shots.txt"
         shots.write_text("0011\n" * 30 + "1100\n")

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -189,6 +190,43 @@ class TestRunSweep:
         run_sweep(config, jobs=2, out_dir=tmp_path / "b")
         assert (tmp_path / "a/rows.csv").read_bytes() == (tmp_path / "b/rows.csv").read_bytes()
         assert (tmp_path / "a/summary.json").read_bytes() == (tmp_path / "b/summary.json").read_bytes()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_golden_bytes_of_a_sweep(self, tmp_path, jobs):
+        # 16 rows of every kind a sweep writes: 8 generate failures (K=6 >
+        # 2**2), one DegenerateModelError, 6 rows whose filter fell back to
+        # the unfiltered shots and one filtered row. Fixing which rows fail
+        # or fall back (ROADMAP item 1) changes these rows on purpose: that
+        # change re-pins the digests and records it in CHANGES.md.
+        config = SweepConfig(
+            n_values=(2, 14), k_values=(6,), s_values=(2500,),
+            noise=(NoiseGrid(0.85, 0.02, 0.1),), repeats=4,
+            subsample_points=(1000, 2500), master_seed=8,
+            filter=FilterConfig(1.5, 65),
+        )
+        rows = run_sweep(config, jobs=jobs, out_dir=tmp_path)
+        assert [r.status.split(":")[0] for r in rows] == (
+            ["generate"] * 8 + ["ok"] * 3 + ["DegenerateModelError"] + ["ok"] * 4)
+        assert [r.filter_fallback for r in rows[8:]] == [
+            True, True, True, False, True, False, True, True]
+        # the wall-clock column is the one part of a sweep that differs per run
+        timing_keys = "".join(
+            line.rsplit(",", 1)[0] + "\n"
+            for line in (tmp_path / "timings.csv").read_text().splitlines()
+        ).encode()
+        digests = {
+            name: hashlib.sha256(data).hexdigest() for name, data in (
+                ("rows.csv", (tmp_path / "rows.csv").read_bytes()),
+                ("summary.json", (tmp_path / "summary.json").read_bytes()),
+                ("timings.csv keys", timing_keys),
+            )
+        }
+        assert digests == {
+            "rows.csv": "0b338c4e95864ee75cc51d6df0a73c279b8bee02a61f6310b1321a68f5575cd8",
+            "summary.json": "0d337adf00e32ed9a050abb84d3347435bd15c62767d83f48c1ca92fa454d2c5",
+            "timings.csv keys":
+                "6ea6a9e0b072185fc7672ae082021ed569e9ccad6a5b06df639ffcfd7996c8e4",
+        }
 
 
 class TestAggregate:

@@ -152,9 +152,12 @@ def _effective_seed(args, sub_seed) -> int:
 
 
 def _load_dataset(path) -> ShotDataset:
-    """Counts JSON if the file starts with '{', shots text otherwise."""
+    """Counts JSON if the file's first byte that is not JSON whitespace is
+    '{', shots text otherwise."""
     with open(path, "rb") as fh:
         head = fh.read(1)
+        while head in (b" ", b"\t", b"\n", b"\r"):
+            head = fh.read(1)
     if head == b"{":
         return load_counts(path)
     return load_shots_text(path)

@@ -49,7 +49,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import AllFilteredError
-from .shotdata import ShotDataset, _check_integer, _sortable
+from .shotdata import _TABLE_ENTRIES_PER_KEY, ShotDataset, _check_integer, _sortable
 
 __all__ = [
     "FilterConfig",
@@ -67,9 +67,6 @@ log = logging.getLogger("qem_mix.depfilter")
 # 1; at radius r > 1 each of a worker's two Gram tile buffers holds a
 # quarter as many (1 MiB of float32 each).
 _BLOCK_ENTRIES = 1 << 20
-# Radius-1 support uses a dense 2**n count table when it has at most this
-# many entries per distinct string (64 bytes each as int32).
-_TABLE_ENTRIES_PER_KEY = 16
 
 
 @dataclass(frozen=True)

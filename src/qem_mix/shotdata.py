@@ -12,6 +12,11 @@ Conventions used throughout the package:
   built only for callers that ask for them. Ordered shots keep their
   per-shot keys, and ``shot_index()`` searches them on each call, so a
   dataset never changes once built, apart from its cached views.
+* Shots and counts files in the forms this module writes or a QPU run
+  dumps are parsed with numpy ``_SCAN_BLOCK`` bytes at a time, through one
+  reused buffer (``_records``), so a load holds the dataset it returns and
+  a few blocks, not the file. Any other file goes to a reader that gives
+  each error its message and line number.
 * Only this module knows the key layout and the key order. Its codec
   helpers are the only encoders and decoders of the layout: ``_text_bits``,
   ``_pack_bits``, ``_unpack_bits``, ``_key_values``, ``_strings_bits`` and
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -193,9 +199,19 @@ class ShotDataset:
 
     def select_distinct(self, mask: np.ndarray) -> "ShotDataset":
         """New dataset with every shot of the distinct strings where the
-        boolean ``mask`` (aligned with ``keys``) is true, in shot order."""
+        boolean ``mask`` (aligned with ``keys``) is true, in shot order.
+
+        On one-word keys with 2**n at most ``_TABLE_ENTRIES_PER_KEY``
+        entries per distinct string, each ordered shot looks its key up in
+        a dense 2**n table of the kept keys: O(2**n + S). Otherwise it looks
+        ``mask`` up at ``shot_index()``: O(S log U)."""
         shot_keys = self._shot_keys
-        if shot_keys is not None:
+        if shot_keys is not None and self.keys.shape[1] == 1 \
+                and 1 << self.n <= _TABLE_ENTRIES_PER_KEY * self.distinct:
+            table = np.zeros(1 << self.n, dtype=bool)  # kept or not, per n-bit value
+            table[self.keys[mask, 0]] = True
+            shot_keys = shot_keys[table[shot_keys[:, 0]]]
+        elif shot_keys is not None:
             shot_keys = shot_keys[mask[self.shot_index()]]
         return ShotDataset._make(self.n, self.keys[mask], self.key_counts[mask], shot_keys)
 
@@ -213,6 +229,12 @@ class ShotDataset:
 
     def __repr__(self) -> str:
         return f"ShotDataset(n={self.n}, s={self.s}, distinct={self.distinct})"
+
+
+# A dense table over all 2**n values (the radius-1 support counts, the shot
+# mask of select_distinct) is used when it has at most this many entries
+# per distinct string.
+_TABLE_ENTRIES_PER_KEY = 16
 
 
 def _text_bits(texts: list, n: int) -> np.ndarray:
@@ -287,7 +309,15 @@ def load_shots_text(path) -> ShotDataset:
 
     Blank lines are ignored; n is inferred from the first shot. Raises
     ParseError / DimensionError with a 1-based line number on bad content.
+
+    A file of lines of exactly n characters of 0 and 1, each ended by
+    ``\\n``, is parsed with numpy a block at a time
+    (``_read_fixed_width_shots``). Any other file is read line by line, and
+    gives the same dataset or error it always did.
     """
+    dataset = _read_fixed_width_shots(path)
+    if dataset is not None:
+        return dataset
     texts = []
     n = None
     # undecodable bytes read as U+FFFD, which the binary check rejects
@@ -312,6 +342,36 @@ def load_shots_text(path) -> ShotDataset:
     return ShotDataset._from_shot_keys(n, _pack_bits(_text_bits(texts, n)))
 
 
+def _read_fixed_width_shots(path) -> Optional[ShotDataset]:
+    """The dataset of a shots file whose every line is n >= 1 characters of
+    0 and 1 and a ``\\n``, or None if the file deviates from that anywhere.
+
+    The first line gives n, and the file's size must be S lines of n + 1
+    bytes; the S per-shot keys are allocated once. Each block of whole
+    lines is checked and packed as an S_block x (n + 1) byte matrix.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        shot_keys, row = None, 0
+        for chunk in _records(fh, ord("\n")):
+            if shot_keys is None:
+                n = int(np.argmax(chunk == ord("\n"))) if len(chunk) else 0
+                if n < 1 or size % (n + 1):
+                    return None
+                shot_keys = np.empty((size // (n + 1), -(-n // 64)), dtype=np.uint64)
+            if len(chunk) % (n + 1) or row + len(chunk) // (n + 1) > len(shot_keys):
+                return None
+            lines = chunk.reshape(-1, n + 1)
+            bits = lines[:, :n] - ord("0")  # wraps below "0"
+            if len(lines) and (np.any(lines[:, n] != ord("\n")) or bits.max() > 1):
+                return None
+            shot_keys[row:row + len(lines)] = _pack_bits(bits)
+            row += len(lines)
+    if row != len(shot_keys):
+        return None  # the file changed size while it was read
+    return ShotDataset._from_shot_keys(n, shot_keys)
+
+
 def load_counts(path) -> ShotDataset:
     """Read a dataset from a JSON count table {bitstring: count}.
 
@@ -322,8 +382,10 @@ def load_counts(path) -> ShotDataset:
     A file in the exact byte form ``save_counts`` writes is parsed with
     numpy: ``{"bits":count,...}`` and a newline, with no whitespace or
     escapes, every key n >= 1 characters of 0 and 1, every count 1 to 18
-    digits with no leading zero, and no key twice. Any other file is read
-    as JSON, and gives the same dataset or error it always did.
+    digits with no leading zero, and no key twice. Such a file is read a
+    block at a time, and besides the dataset only one block's bytes and
+    temporaries are held. Any other file is read as JSON, and gives the
+    same dataset or error it always did.
     """
     dataset = _read_canonical_counts(path)
     if dataset is not None:
@@ -350,65 +412,77 @@ def load_counts(path) -> ShotDataset:
 
 # 10**18 - 1 < 2**63: a count of at most this many digits fits an int64
 _MAX_DIGITS = 18
-# file bytes per block of the canonical reader's byte pass, and padded key
-# bits per block of its record pass: each block's temporaries stay in cache
+# file bytes per read of the numpy readers: each block's temporaries stay
+# in cache
 _SCAN_BLOCK = 1 << 18
+
+
+def _records(fh, end: int):
+    """The whole records of the binary file ``fh`` that end in the byte
+    ``end``, as uint8 views of one buffer that is refilled ``_SCAN_BLOCK``
+    bytes at a time: each view ends at the last ``end`` read so far, and the
+    bytes after it are carried into the next view. The last view holds the
+    bytes after the file's last ``end``, and may be empty. Each view is
+    overwritten when the next one is taken.
+    """
+    buf, kept = bytearray(2 * _SCAN_BLOCK), 0
+    while True:
+        if len(buf) < kept + _SCAN_BLOCK:  # a record longer than the buffer
+            buf = buf[:kept] + bytearray(len(buf))
+        got = fh.readinto(memoryview(buf)[kept:kept + _SCAN_BLOCK])
+        if not got:
+            yield np.frombuffer(buf, np.uint8, kept)
+            return
+        cut = buf.rfind(end, kept, kept + got) + 1
+        kept += got
+        if cut:
+            yield np.frombuffer(buf, np.uint8, cut)
+            buf[:kept - cut] = buf[cut:kept]
+            kept -= cut
 
 
 def _read_canonical_counts(path) -> Optional[ShotDataset]:
     """The dataset of a counts file in ``save_counts``'s byte form, or None
     if the file deviates from it anywhere (see ``load_counts``).
 
-    The file is read once. One pass over its bytes finds the quotes and
-    counts the digits; a second checks, packs and parses the records. Both
-    run a block at a time: besides the file's bytes, only the quote
-    positions span the whole file.
+    The file is read twice, in blocks of records that end at a comma
+    (``_records``). The first pass counts the quotes and takes n from the
+    first key, so the keys and counts are allocated once, at their size.
+    The second checks, packs and parses each block's records; None if it
+    finds another number of records than the first.
     """
     with open(path, "rb") as fh:
-        raw = np.fromfile(fh, dtype=np.uint8)
-    quotes, digit_bytes = _scan_bytes(raw)
-    u = (len(quotes) - 1) // 2
-    # every byte but the 4u + 2 of "{", quotes, colons, commas, "}" and
-    # the newline must be a digit
-    if not u or len(quotes) % 2 == 0 or raw[0] != ord("{") or quotes[0] != 1 \
-            or raw[-2:].tobytes() != b"}\n" or digit_bytes != len(raw) - 4 * u - 2:
-        return None
-    n = int(quotes[1] - quotes[0]) - 1
-    if n < 1:
-        return None
-    w = -(-n // 64)
-    keys = np.empty((u, w), dtype=np.uint64)
-    counts = np.empty(u, dtype=np.int64)
-    windows = sliding_window_view(raw, n)  # row i: the n bytes from byte i
-    step = max(1, _SCAN_BLOCK // (64 * w))
-    for lo in range(0, u, step):
-        hi = min(lo + step, u)
-        opens, closes = quotes[2 * lo:2 * hi:2], quotes[2 * lo + 1:2 * hi:2]
-        starts = closes + 2                                # first digit of each count
-        ends = quotes[2 * lo + 2:2 * hi + 1:2] - 1         # the comma, or the last "}"
-        digits = ends - starts
-        if (
-            np.any(closes - opens != n + 1)
-            or digits.min() < 1 or digits.max() > _MAX_DIGITS
-            or np.any(raw[closes + 1] != ord(":"))
-            or np.any(raw[ends[:-1] if hi == u else ends] != ord(","))
-            or np.any(raw[starts] == ord("0"))
-        ):
+        quotes, n = 0, None
+        for chunk in _records(fh, ord(",")):
+            if n is None:
+                at = np.flatnonzero(chunk == ord('"'))[:2]
+                n = int(at[1] - at[0]) - 1 if len(at) == 2 else 0
+            quotes += int(np.count_nonzero(chunk == ord('"')))
+        u = quotes // 2
+        if not u or quotes % 2 or n < 1:
             return None
-        bits = windows[opens + 1]
-        if bits.max() > ord("1"):
-            return None
-        bits &= 1
-        keys[lo:hi] = _pack_bits(bits)
-        value = counts[lo:hi]
-        np.subtract(raw[starts], ord("0"), out=value, dtype=np.int64)
-        for k in range(1, int(digits.max())):
-            more = np.flatnonzero(digits > k)
-            value[more] = value[more] * 10 + (raw[starts[more] + k] - ord("0"))
-    del raw, windows
+        keys = np.empty((u, -(-n // 64)), dtype=np.uint64)
+        counts = np.empty(u, dtype=np.int64)
+        fh.seek(0)
+        lo = 0
+        for chunk in _records(fh, ord(",")):
+            if lo == 0:  # the file's first record
+                if not len(chunk) or chunk[0] != ord("{"):
+                    return None
+                chunk = chunk[1:]
+            if not len(chunk) or chunk[-1] != ord(","):  # the file's last record
+                if chunk[-2:].tobytes() != b"}\n":
+                    return None
+                chunk = chunk[:-1]
+            lo = _parse_records(chunk, n, keys, counts, lo)
+            if lo is None:
+                return None
+    if lo != u:
+        return None  # the file changed between the passes
     if int(counts.max()) * u >= 1 << 63 and sum(counts.tolist()) >= 1 << 63:
         return None  # the JSON reader raises for this total
-    if w > 1 or np.any(keys[1:, 0] <= keys[:-1, 0]):  # save_counts writes keys ascending
+    # save_counts writes keys ascending
+    if keys.shape[1] > 1 or np.any(keys[1:, 0] <= keys[:-1, 0]):
         order = np.argsort(_sortable(keys))
         keys, counts = keys[order], counts[order]
         sortable = _sortable(keys)
@@ -417,25 +491,40 @@ def _read_canonical_counts(path) -> Optional[ShotDataset]:
     return ShotDataset._make(n, keys, counts)
 
 
-def _scan_bytes(raw: np.ndarray) -> tuple:
-    """The positions of the quote bytes in ``raw``, followed by len(raw) - 1
-    (where an opening quote after the last record would be), and the number
-    of digit bytes; found ``_SCAN_BLOCK`` bytes at a time."""
-    quotes, digit_bytes = [], 0
-    flags = np.empty(min(len(raw), _SCAN_BLOCK), dtype=bool)
-    shifted = np.empty(len(flags), dtype=np.uint8)
-    for lo in range(0, len(raw), _SCAN_BLOCK):
-        block = raw[lo:lo + _SCAN_BLOCK]
-        flag, low = flags[:len(block)], shifted[:len(block)]
-        np.equal(block, ord('"'), out=flag)
-        at = np.flatnonzero(flag)
-        at += lo
-        quotes.append(at)
-        np.subtract(block, ord("0"), out=low)  # wraps below "0"
-        np.less(low, 10, out=flag)
-        digit_bytes += int(np.count_nonzero(flag))
-    quotes.append(np.array([len(raw) - 1]))
-    return np.concatenate(quotes), digit_bytes
+def _parse_records(body: np.ndarray, n: int, keys, counts, lo: int) -> Optional[int]:
+    """Check, pack and parse the records ``"bits":count`` of ``body`` into
+    ``keys`` and ``counts`` from row ``lo``; the row after the last one
+    written, or None if a record deviates. Each record ends in one byte, a
+    comma but for the last one's, which the caller checks."""
+    at = np.flatnonzero(body == ord('"'))
+    hi = lo + len(at) // 2
+    if not len(at) or len(at) % 2 or at[0] or hi > len(counts):
+        return None
+    opens, closes = at[::2], at[1::2]
+    starts = closes + 2                               # first digit of each count
+    ends = np.append(opens[1:], len(body)) - 1        # the comma, or the last "}"
+    digits = ends - starts
+    if (
+        np.any(closes - opens != n + 1)
+        or digits.min() < 1 or digits.max() > _MAX_DIGITS
+        or np.any(body[closes + 1] != ord(":"))
+        or np.any(body[ends[:-1]] != ord(","))
+        or np.any(body[starts] == ord("0"))
+        # every byte but the quotes, colon and end of each record is a digit
+        or np.count_nonzero(body - ord("0") < 10) != len(body) - 4 * len(opens)
+    ):
+        return None
+    bits = sliding_window_view(body, n)[opens + 1]  # row i: the n bytes from byte i
+    if bits.max() > ord("1"):
+        return None
+    bits &= 1
+    keys[lo:hi] = _pack_bits(bits)
+    value = counts[lo:hi]
+    np.subtract(body[starts], ord("0"), out=value, dtype=np.int64)
+    for k in range(1, int(digits.max())):
+        more = np.flatnonzero(digits > k)
+        value[more] = value[more] * 10 + (body[starts[more] + k] - ord("0"))
+    return hi
 
 
 def _raise_first_bad(path, table: dict) -> None:

@@ -355,6 +355,18 @@ class TestFilterCommand:
         kept = load_counts(out)
         assert {k.text for k in kept.counts} == {"0011"}
 
+    @pytest.mark.parametrize("body, s_in", [
+        (' {"0101": 3, "0110": 4}', 7),
+        ('\r\n\t {"0101":3}\n', 3),
+        ("\n\n0101\n \n0110\n", 2),
+    ], ids=["counts-after-space", "counts-after-whitespace", "shots-after-blank-lines"])
+    def test_format_read_from_first_non_blank_byte(self, capsys, tmp_path, body, s_in):
+        data = tmp_path / "data"
+        data.write_text(body)
+        code, out, err = run(capsys, "filter", str(data), "--threshold", "1")
+        assert code == 0, err
+        assert out.startswith(f"filter: S_in={s_in} ")
+
 
 class TestPipeline:
     def _generate(self, capsys, tmp_path, seed="3"):

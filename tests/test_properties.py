@@ -142,6 +142,15 @@ def near_canonical_files(draw, edit):
     return body
 
 
+# files whose deviation shows only across two records, each with the byte
+# offset just past the first of them, where a block edge can part them
+EDGE_FILES = {
+    "descending-at-edge": (_counts_file([("0011", "5"), ("0110", "2"), ("0101", "1")]), 19),
+    "repeated-at-edge": (_counts_file([("0011", "5"), ("0110", "2"), ("0110", "9")]), 19),
+    "sum-past-2**63-at-edge": (_counts_file([(format(i, "04b"), MAX_18) for i in range(10)]), 131),
+}
+
+
 NAMED_FILES = {
     "canonical": _counts_file([("0011", "5"), ("0110", "12"), ("1111", "1")]),
     "unsorted": _counts_file([("1111", "1"), ("0011", "5")]),
@@ -165,6 +174,7 @@ NAMED_FILES = {
     "no-bytes": b"",
     "colon-for-comma": b'{"0011":5:"0110":2,"1111":1}\n',
     "space-for-comma": b'{"0011":5,"0110":2 "1111":1}\n',
+    **{name: body for name, (body, _) in EDGE_FILES.items()},
 }
 
 
@@ -190,6 +200,70 @@ def test_canonical_reader_ignores_block_size(scratch, data, block):
     whole = shotdata._read_canonical_counts(scratch)
     with mock.patch.object(shotdata, "_SCAN_BLOCK", block):
         assert shotdata._read_canonical_counts(scratch) == whole
+
+
+@pytest.mark.parametrize("body, edge", EDGE_FILES.values(), ids=EDGE_FILES)
+def test_counts_readers_agree_across_a_block_edge(scratch, body, edge):
+    """The checks that span records see the whole file when a block ends
+    between the two records that break them."""
+    assert body[edge - 1:edge + 1] == b',"'
+    for block in (edge - 1, edge, edge + 1, 1):
+        with mock.patch.object(shotdata, "_SCAN_BLOCK", block):
+            _assert_readers_agree(scratch, body)
+
+
+def _shots_outcome(path, fast: bool):
+    """``load_shots_text``'s dataset, or its error's type, text and exit
+    code, with the numpy reader on or skipped."""
+    reader = shotdata._read_fixed_width_shots if fast else (lambda path: None)
+    with mock.patch.object(shotdata, "_read_fixed_width_shots", reader):
+        try:
+            return load_shots_text(path)
+        except QemError as exc:
+            return type(exc), str(exc), exc.exit_code
+
+
+SHOT_EDITS = ["none", "crlf", "no-newline", "blank", "bad-byte", "ragged"]
+
+
+@st.composite
+def near_fixed_width_shots(draw, edit):
+    """A file of lines of n bits and "\\n", with one deviation of the kind
+    ``edit``, and n."""
+    n = draw(st.sampled_from([1, 2, 5, 20, 64, 65]))
+    lines = [draw(st.text("01", min_size=n, max_size=n)) for _ in range(draw(st.integers(1, 12)))]
+    at = draw(st.integers(0, len(lines) - 1))
+    if edit == "blank":
+        lines.insert(at, draw(st.sampled_from(["", " ", "\t"])))
+    elif edit == "ragged":
+        lines[at] = lines[at][:-1] if draw(st.booleans()) else lines[at] + "1"
+    elif edit == "bad-byte":
+        line = lines[at]
+        col = draw(st.integers(0, n - 1))
+        bad = draw(st.sampled_from(["2", " ", "x", "\r", "\x00", "\xff"]))
+        lines[at] = line[:col] + bad + line[col + 1:]
+    body = "".join(line + "\n" for line in lines).encode("latin-1")
+    if edit == "crlf":
+        body = body.replace(b"\n", b"\r\n")
+    elif edit == "no-newline":
+        body = body[:-1]
+    return body, n
+
+
+@pytest.mark.parametrize("edit", SHOT_EDITS)
+@settings(max_examples=50)
+@given(data=st.data(), block=st.sampled_from([1, 2, 7, 64, "line-1", "line", "line+1"]))
+def test_shots_readers_agree(scratch, edit, data, block):
+    """The numpy shots reader gives the line reader's dataset or error at
+    any block size, and reads every file of fixed-width lines."""
+    body, n = data.draw(near_fixed_width_shots(edit))
+    scratch.write_bytes(body)
+    if isinstance(block, str):
+        block = n + 1 + {"line-1": -1, "line": 0, "line+1": 1}[block]
+    with mock.patch.object(shotdata, "_SCAN_BLOCK", block):
+        if edit == "none":
+            assert shotdata._read_fixed_width_shots(scratch) is not None
+        assert _shots_outcome(scratch, fast=True) == _shots_outcome(scratch, fast=False)
 
 
 @st.composite

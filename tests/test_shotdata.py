@@ -268,6 +268,54 @@ class TestShotOrderReference:
             assert all(after[k] is v for k, v in before.items()), name
 
 
+class TestSelectDistinctTable:
+    """``select_distinct`` keeps ordered shots through a dense 2**n table
+    where one fits, and through ``shot_index()`` otherwise."""
+
+    @staticmethod
+    def ordered(rng, n, distinct):
+        """An ordered dataset of 3000 shots over exactly ``distinct``
+        strings of n bits, and its bit matrix."""
+        values = rng.choice(1 << n, distinct, replace=False)
+        repeats = values[rng.integers(0, distinct, 3000 - distinct)]
+        shots = rng.permutation(np.concatenate([values, repeats]))
+        mat = (shots[:, None] >> np.arange(n - 1, -1, -1)) & 1
+        return ShotDataset.from_bit_matrix(mat), mat.astype(np.uint8)
+
+    @staticmethod
+    def select(ds, mask, table: bool, monkeypatch):
+        """``ds.select_distinct(mask)``, failing if it takes the other way."""
+        def no_search(self):
+            raise AssertionError("searched shot_index() where the table fits")
+        with monkeypatch.context() as patch:
+            if table:
+                patch.setattr(ShotDataset, "shot_index", no_search)
+            return ds.select_distinct(mask)
+
+    # at n=12, U=256 is the smallest count of distinct strings the table serves
+    @pytest.mark.parametrize("distinct, table", [(256, True), (255, False)])
+    def test_both_sides_of_the_table_condition(self, rng, monkeypatch, distinct, table):
+        ds, mat = self.ordered(rng, 12, distinct)
+        assert (1 << 12 <= shotdata._TABLE_ENTRIES_PER_KEY * ds.distinct) == table
+        _, index = np.unique(mat, axis=0, return_inverse=True)
+        mask = rng.random(ds.distinct) < 0.5
+        mask[0] = True
+        assert_holds(self.select(ds, mask, table, monkeypatch), mat[mask[index.reshape(-1)]])
+
+    @pytest.mark.parametrize("n", [1, 5, 20])
+    def test_table_and_search_agree(self, rng, monkeypatch, n):
+        ds, mat = self.ordered(rng, n, min(1 << n, 700))
+        ds = ds.subset(rng.permutation(3000)[:2000])
+        mask = rng.random(ds.distinct) < 0.4
+        mask[-1] = True
+        kept = []
+        for entries in (1 << 24, 0):
+            monkeypatch.setattr(shotdata, "_TABLE_ENTRIES_PER_KEY", entries)
+            kept.append(self.select(ds, mask, entries > 0, monkeypatch))
+        assert kept[0] == kept[1]
+        assert np.array_equal(kept[0].bit_matrix, ds.bit_matrix[mask[ds.shot_index()]])
+
+
 def padded_pack_bits(bits):
     """The packer ``_pack_bits`` replaced: every row padded to whole words."""
     s, n = bits.shape
@@ -334,6 +382,96 @@ class TestShotsTextIO:
         path = tmp_path / "shots.txt"
         path.write_text("01\n10")
         assert load_shots_text(path).s == 2
+
+    def test_fixed_width_lines_take_the_numpy_reader(self, tmp_path, monkeypatch, rng):
+        # lines of n bits and a newline never reach the line-by-line reader,
+        # at any block size
+        mat = rng.integers(0, 2, size=(500, 65), dtype=np.uint8)
+        path = tmp_path / "shots.txt"
+        path.write_text("".join("".join(map(str, row)) + "\n" for row in mat.tolist()))
+        monkeypatch.setattr("builtins.open", _binary_only(open))
+        for block in (1, 65, 66, 1000, 1 << 18):
+            monkeypatch.setattr(shotdata, "_SCAN_BLOCK", block)
+            assert_holds(load_shots_text(path), mat)
+
+    @pytest.mark.parametrize("body, error", [
+        ("01\n\n10\n", None), ("01\r\n10\r\n", None), ("01\n10", None),
+        ("01\n011\n", DimensionError), ("01\n01101\n", DimensionError),
+        ("01\n0x\n", ParseError), ("\n\n", EmptyDatasetError),
+    ])
+    def test_other_files_take_the_line_reader(self, tmp_path, body, error):
+        path = tmp_path / "shots.txt"
+        path.write_bytes(body.encode())
+        assert shotdata._read_fixed_width_shots(path) is None
+        if error is None:
+            assert load_shots_text(path) == ShotDataset([B("01"), B("10")])
+        else:
+            with pytest.raises(error):
+                load_shots_text(path)
+
+
+def _binary_only(builtin_open):
+    """``open`` that fails for text mode: the line reader opens the file as
+    text, the numpy readers as bytes."""
+    def checked(file, mode="r", *args, **kwargs):
+        if "b" not in mode:
+            raise AssertionError(f"{file} was opened in text mode")
+        return builtin_open(file, mode, *args, **kwargs)
+    return checked
+
+
+# VmHWM is this process's own peak: ru_maxrss keeps the peak of the process
+# that forked it
+PEAK_GROWTH = (
+    "def peak():\n"
+    "    with open('/proc/self/status') as fh:\n"
+    "        return next(int(l.split()[1]) for l in fh if l.startswith('VmHWM:'))\n"
+    "from qem_mix.shotdata import load_counts, load_shots_text\n"
+    "before = peak()\n"
+    "ds = {loader}({path!r})\n"
+    "print((peak() - before) / 1024, (ds.keys.nbytes + ds.key_counts.nbytes) / 2**20, ds.s)\n"
+)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
+class TestReaderMemory:
+    """A load raises the process's peak by the dataset it returns and a few
+    blocks of the file, not by the file or one Python object per line."""
+
+    @staticmethod
+    def growth(loader, path):
+        """MiB the load adds to a fresh process's peak, the MiB of the
+        keys and counts it returns, and the shots it read."""
+        done = run_python(PEAK_GROWTH.format(loader=loader, path=str(path)))
+        assert done.returncode == 0, done.stderr
+        grown, arrays, s = done.stdout.split()
+        return float(grown), float(arrays), int(s)
+
+    @staticmethod
+    def write_lines(path, rng, s, n):
+        lines = np.full((s, n + 1), ord("\n"), dtype=np.uint8)
+        lines[:, :n] = ord("0") + rng.integers(0, 2, size=(s, n), dtype=np.uint8)
+        lines.tofile(path)
+
+    def test_counts_file(self, tmp_path, rng):
+        # 10**6 distinct strings of 20 bits: a 27 MB file for a 15 MiB dataset
+        keys = np.sort(rng.choice(1 << 20, 10**6, replace=False)).astype(np.uint64)
+        path = tmp_path / "counts.json"
+        save_counts(ShotDataset._make(20, keys.reshape(-1, 1), rng.integers(1, 1000, 10**6)), path)
+        grown, arrays, _ = self.growth("load_counts", path)
+        assert grown < arrays + 8
+
+    def test_shots_file_of_20_bits(self, tmp_path, rng):
+        path = tmp_path / "shots.txt"
+        self.write_lines(path, rng, 10**6, 20)
+        grown, _, s = self.growth("load_shots_text", path)
+        assert s == 10**6 and grown < 64
+
+    def test_shots_file_of_128_bits(self, tmp_path, rng):
+        path = tmp_path / "shots.txt"
+        self.write_lines(path, rng, 200_000, 128)
+        grown, _, s = self.growth("load_shots_text", path)
+        assert s == 200_000 and grown < 2 * path.stat().st_size / 2**20
 
 
 class TestCountsIO:

@@ -12,11 +12,11 @@ Conventions used throughout the package:
   built only for callers that ask for them. Ordered shots keep their
   per-shot keys, and ``shot_index()`` searches them on each call, so a
   dataset never changes once built, apart from its cached views.
-* Shots and counts files in the forms this module writes or a QPU run
-  dumps are parsed with numpy ``_SCAN_BLOCK`` bytes at a time, through one
-  reused buffer (``_records``), so a load holds the dataset it returns and
-  a few blocks, not the file. Any other file goes to a reader that gives
-  each error its message and line number.
+* Counts files in the form ``save_counts`` writes are parsed with numpy
+  ``_SCAN_BLOCK`` bytes at a time, through one reused buffer
+  (``_records``), so a load holds the dataset it returns and a few blocks,
+  not the file. Any other counts file goes to the JSON reader, which gives
+  each error its message.
 * Only this module knows the key layout and the key order. Its codec
   helpers are the only encoders and decoders of the layout: ``_text_bits``,
   ``_pack_bits``, ``_unpack_bits``, ``_key_values``, ``_strings_bits`` and
@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import numbers
 import os
+import stat
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -309,15 +310,7 @@ def load_shots_text(path) -> ShotDataset:
 
     Blank lines are ignored; n is inferred from the first shot. Raises
     ParseError / DimensionError with a 1-based line number on bad content.
-
-    A file of lines of exactly n characters of 0 and 1, each ended by
-    ``\\n``, is parsed with numpy a block at a time
-    (``_read_fixed_width_shots``). Any other file is read line by line, and
-    gives the same dataset or error it always did.
     """
-    dataset = _read_fixed_width_shots(path)
-    if dataset is not None:
-        return dataset
     texts = []
     n = None
     # undecodable bytes read as U+FFFD, which the binary check rejects
@@ -342,36 +335,6 @@ def load_shots_text(path) -> ShotDataset:
     return ShotDataset._from_shot_keys(n, _pack_bits(_text_bits(texts, n)))
 
 
-def _read_fixed_width_shots(path) -> Optional[ShotDataset]:
-    """The dataset of a shots file whose every line is n >= 1 characters of
-    0 and 1 and a ``\\n``, or None if the file deviates from that anywhere.
-
-    The first line gives n, and the file's size must be S lines of n + 1
-    bytes; the S per-shot keys are allocated once. Each block of whole
-    lines is checked and packed as an S_block x (n + 1) byte matrix.
-    """
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        shot_keys, row = None, 0
-        for chunk in _records(fh, ord("\n")):
-            if shot_keys is None:
-                n = int(np.argmax(chunk == ord("\n"))) if len(chunk) else 0
-                if n < 1 or size % (n + 1):
-                    return None
-                shot_keys = np.empty((size // (n + 1), -(-n // 64)), dtype=np.uint64)
-            if len(chunk) % (n + 1) or row + len(chunk) // (n + 1) > len(shot_keys):
-                return None
-            lines = chunk.reshape(-1, n + 1)
-            bits = lines[:, :n] - ord("0")  # wraps below "0"
-            if len(lines) and (np.any(lines[:, n] != ord("\n")) or bits.max() > 1):
-                return None
-            shot_keys[row:row + len(lines)] = _pack_bits(bits)
-            row += len(lines)
-    if row != len(shot_keys):
-        return None  # the file changed size while it was read
-    return ShotDataset._from_shot_keys(n, shot_keys)
-
-
 def load_counts(path) -> ShotDataset:
     """Read a dataset from a JSON count table {bitstring: count}.
 
@@ -382,10 +345,10 @@ def load_counts(path) -> ShotDataset:
     A file in the exact byte form ``save_counts`` writes is parsed with
     numpy: ``{"bits":count,...}`` and a newline, with no whitespace or
     escapes, every key n >= 1 characters of 0 and 1, every count 1 to 18
-    digits with no leading zero, and no key twice. Such a file is read a
-    block at a time, and besides the dataset only one block's bytes and
-    temporaries are held. Any other file is read as JSON, and gives the
-    same dataset or error it always did.
+    digits with no leading zero, and no key twice. Such a regular file is
+    read a block at a time, and besides the dataset only one block's bytes
+    and temporaries are held. Any other file, a pipe among them, is read as
+    JSON, and gives the same dataset or error it always did.
     """
     dataset = _read_canonical_counts(path)
     if dataset is not None:
@@ -412,8 +375,8 @@ def load_counts(path) -> ShotDataset:
 
 # 10**18 - 1 < 2**63: a count of at most this many digits fits an int64
 _MAX_DIGITS = 18
-# file bytes per read of the numpy readers: each block's temporaries stay
-# in cache
+# file bytes per read of the canonical counts reader: each block's
+# temporaries stay in cache
 _SCAN_BLOCK = 1 << 18
 
 
@@ -451,6 +414,8 @@ def _read_canonical_counts(path) -> Optional[ShotDataset]:
     The second checks, packs and parses each block's records; None if it
     finds another number of records than the first.
     """
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        return None  # a pipe can be read once: the JSON reader reads it in one pass
     with open(path, "rb") as fh:
         quotes, n = 0, None
         for chunk in _records(fh, ord(",")):

@@ -212,60 +212,6 @@ def test_counts_readers_agree_across_a_block_edge(scratch, body, edge):
             _assert_readers_agree(scratch, body)
 
 
-def _shots_outcome(path, fast: bool):
-    """``load_shots_text``'s dataset, or its error's type, text and exit
-    code, with the numpy reader on or skipped."""
-    reader = shotdata._read_fixed_width_shots if fast else (lambda path: None)
-    with mock.patch.object(shotdata, "_read_fixed_width_shots", reader):
-        try:
-            return load_shots_text(path)
-        except QemError as exc:
-            return type(exc), str(exc), exc.exit_code
-
-
-SHOT_EDITS = ["none", "crlf", "no-newline", "blank", "bad-byte", "ragged"]
-
-
-@st.composite
-def near_fixed_width_shots(draw, edit):
-    """A file of lines of n bits and "\\n", with one deviation of the kind
-    ``edit``, and n."""
-    n = draw(st.sampled_from([1, 2, 5, 20, 64, 65]))
-    lines = [draw(st.text("01", min_size=n, max_size=n)) for _ in range(draw(st.integers(1, 12)))]
-    at = draw(st.integers(0, len(lines) - 1))
-    if edit == "blank":
-        lines.insert(at, draw(st.sampled_from(["", " ", "\t"])))
-    elif edit == "ragged":
-        lines[at] = lines[at][:-1] if draw(st.booleans()) else lines[at] + "1"
-    elif edit == "bad-byte":
-        line = lines[at]
-        col = draw(st.integers(0, n - 1))
-        bad = draw(st.sampled_from(["2", " ", "x", "\r", "\x00", "\xff"]))
-        lines[at] = line[:col] + bad + line[col + 1:]
-    body = "".join(line + "\n" for line in lines).encode("latin-1")
-    if edit == "crlf":
-        body = body.replace(b"\n", b"\r\n")
-    elif edit == "no-newline":
-        body = body[:-1]
-    return body, n
-
-
-@pytest.mark.parametrize("edit", SHOT_EDITS)
-@settings(max_examples=50)
-@given(data=st.data(), block=st.sampled_from([1, 2, 7, 64, "line-1", "line", "line+1"]))
-def test_shots_readers_agree(scratch, edit, data, block):
-    """The numpy shots reader gives the line reader's dataset or error at
-    any block size, and reads every file of fixed-width lines."""
-    body, n = data.draw(near_fixed_width_shots(edit))
-    scratch.write_bytes(body)
-    if isinstance(block, str):
-        block = n + 1 + {"line-1": -1, "line": 0, "line+1": 1}[block]
-    with mock.patch.object(shotdata, "_SCAN_BLOCK", block):
-        if edit == "none":
-            assert shotdata._read_fixed_width_shots(scratch) is not None
-        assert _shots_outcome(scratch, fast=True) == _shots_outcome(scratch, fast=False)
-
-
 @st.composite
 def count_tables(draw):
     """A dataset of 1 to 130 bits, given as 1 to 300 distinct keys and

@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -383,42 +384,6 @@ class TestShotsTextIO:
         path.write_text("01\n10")
         assert load_shots_text(path).s == 2
 
-    def test_fixed_width_lines_take_the_numpy_reader(self, tmp_path, monkeypatch, rng):
-        # lines of n bits and a newline never reach the line-by-line reader,
-        # at any block size
-        mat = rng.integers(0, 2, size=(500, 65), dtype=np.uint8)
-        path = tmp_path / "shots.txt"
-        path.write_text("".join("".join(map(str, row)) + "\n" for row in mat.tolist()))
-        monkeypatch.setattr("builtins.open", _binary_only(open))
-        for block in (1, 65, 66, 1000, 1 << 18):
-            monkeypatch.setattr(shotdata, "_SCAN_BLOCK", block)
-            assert_holds(load_shots_text(path), mat)
-
-    @pytest.mark.parametrize("body, error", [
-        ("01\n\n10\n", None), ("01\r\n10\r\n", None), ("01\n10", None),
-        ("01\n011\n", DimensionError), ("01\n01101\n", DimensionError),
-        ("01\n0x\n", ParseError), ("\n\n", EmptyDatasetError),
-    ])
-    def test_other_files_take_the_line_reader(self, tmp_path, body, error):
-        path = tmp_path / "shots.txt"
-        path.write_bytes(body.encode())
-        assert shotdata._read_fixed_width_shots(path) is None
-        if error is None:
-            assert load_shots_text(path) == ShotDataset([B("01"), B("10")])
-        else:
-            with pytest.raises(error):
-                load_shots_text(path)
-
-
-def _binary_only(builtin_open):
-    """``open`` that fails for text mode: the line reader opens the file as
-    text, the numpy readers as bytes."""
-    def checked(file, mode="r", *args, **kwargs):
-        if "b" not in mode:
-            raise AssertionError(f"{file} was opened in text mode")
-        return builtin_open(file, mode, *args, **kwargs)
-    return checked
-
 
 # VmHWM is this process's own peak: ru_maxrss keeps the peak of the process
 # that forked it
@@ -426,52 +391,49 @@ PEAK_GROWTH = (
     "def peak():\n"
     "    with open('/proc/self/status') as fh:\n"
     "        return next(int(l.split()[1]) for l in fh if l.startswith('VmHWM:'))\n"
-    "from qem_mix.shotdata import load_counts, load_shots_text\n"
+    "from qem_mix.shotdata import load_counts\n"
     "before = peak()\n"
-    "ds = {loader}({path!r})\n"
-    "print((peak() - before) / 1024, (ds.keys.nbytes + ds.key_counts.nbytes) / 2**20, ds.s)\n"
+    "ds = load_counts({path!r})\n"
+    "print((peak() - before) / 1024, (ds.keys.nbytes + ds.key_counts.nbytes) / 2**20)\n"
 )
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
-class TestReaderMemory:
-    """A load raises the process's peak by the dataset it returns and a few
-    blocks of the file, not by the file or one Python object per line."""
+def test_counts_load_memory_is_bounded(tmp_path, rng):
+    """Loading a canonical counts file raises a fresh process's peak by the
+    keys and counts it returns and a few blocks, not by the file."""
+    # 10**6 distinct strings of 20 bits: a 27 MB file for a 15 MiB dataset
+    keys = np.sort(rng.choice(1 << 20, 10**6, replace=False)).astype(np.uint64)
+    path = tmp_path / "counts.json"
+    save_counts(ShotDataset._make(20, keys.reshape(-1, 1), rng.integers(1, 1000, 10**6)), path)
+    done = run_python(PEAK_GROWTH.format(path=str(path)))
+    assert done.returncode == 0, done.stderr
+    grown, arrays = map(float, done.stdout.split())
+    assert grown < arrays + 8
 
-    @staticmethod
-    def growth(loader, path):
-        """MiB the load adds to a fresh process's peak, the MiB of the
-        keys and counts it returns, and the shots it read."""
-        done = run_python(PEAK_GROWTH.format(loader=loader, path=str(path)))
-        assert done.returncode == 0, done.stderr
-        grown, arrays, s = done.stdout.split()
-        return float(grown), float(arrays), int(s)
 
-    @staticmethod
-    def write_lines(path, rng, s, n):
-        lines = np.full((s, n + 1), ord("\n"), dtype=np.uint8)
-        lines[:, :n] = ord("0") + rng.integers(0, 2, size=(s, n), dtype=np.uint8)
-        lines.tofile(path)
+def _pipe_path(body: bytes) -> str:
+    """A path that reads ``body`` from a pipe once, like a shell's
+    ``<(...)``; a second open of it reads nothing."""
+    read_end, write_end = os.pipe()
+    os.write(write_end, body)
+    os.close(write_end)
+    return f"/dev/fd/{read_end}"
 
-    def test_counts_file(self, tmp_path, rng):
-        # 10**6 distinct strings of 20 bits: a 27 MB file for a 15 MiB dataset
-        keys = np.sort(rng.choice(1 << 20, 10**6, replace=False)).astype(np.uint64)
-        path = tmp_path / "counts.json"
-        save_counts(ShotDataset._make(20, keys.reshape(-1, 1), rng.integers(1, 1000, 10**6)), path)
-        grown, arrays, _ = self.growth("load_counts", path)
-        assert grown < arrays + 8
 
-    def test_shots_file_of_20_bits(self, tmp_path, rng):
-        path = tmp_path / "shots.txt"
-        self.write_lines(path, rng, 10**6, 20)
-        grown, _, s = self.growth("load_shots_text", path)
-        assert s == 10**6 and grown < 64
-
-    def test_shots_file_of_128_bits(self, tmp_path, rng):
-        path = tmp_path / "shots.txt"
-        self.write_lines(path, rng, 200_000, 128)
-        grown, _, s = self.growth("load_shots_text", path)
-        assert s == 200_000 and grown < 2 * path.stat().st_size / 2**20
+@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="opens a pipe by path")
+@pytest.mark.parametrize("loader, body", [
+    (load_counts, b'{"01":2,"10":1}\n'),
+    (load_counts, b'{"01": 2, "10": 1}'),
+    (load_shots_text, b"01\n10\n01\n"),
+], ids=["canonical-counts", "other-counts", "shots"])
+def test_load_from_a_pipe(loader, body):
+    path = _pipe_path(body)
+    try:
+        ds = loader(path)
+    finally:
+        os.close(int(path.rsplit("/", 1)[1]))
+    assert {k.text: v for k, v in ds.counts.items()} == {"01": 2, "10": 1}
 
 
 class TestCountsIO:

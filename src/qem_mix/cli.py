@@ -8,10 +8,12 @@ Diagnostics go to stderr; data goes to files or stdout.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import logging
 import os
 import random
+import stat
 import sys
 from dataclasses import asdict, replace
 
@@ -21,7 +23,8 @@ from .emcore import EmConfig, load_model, save_model
 from .errors import QemError
 from .harness import NoiseGrid, _seeds, load_sweep_config, run_pipeline, run_sweep
 from .metrics import ber, hellinger_fidelity, model_to_distribution
-from .shotdata import ShotDataset, load_counts, load_shots_text, save_counts
+from .shotdata import (ShotDataset, _parse_count_table, _parse_shots_text, _read_json_object,
+                       load_counts, load_shots_text, save_counts)
 from .synth import (
     NoiseSpec,
     generate_shots,
@@ -152,15 +155,22 @@ def _effective_seed(args, sub_seed) -> int:
 
 
 def _load_dataset(path) -> ShotDataset:
-    """Counts JSON if the file's first byte that is not JSON whitespace is
-    '{', shots text otherwise."""
+    """Counts JSON if the input's first byte that is not JSON whitespace is
+    '{', shots text otherwise. A regular file is then read again by its
+    loader; any other input, such as a pipe, can be read only once, so it is
+    read whole and parsed from those bytes."""
     with open(path, "rb") as fh:
-        head = fh.read(1)
+        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+        source = fh if regular else io.BytesIO(fh.read())
+        head = source.read(1)
         while head in (b" ", b"\t", b"\n", b"\r"):
-            head = fh.read(1)
+            head = source.read(1)
+    if regular:
+        return load_counts(path) if head == b"{" else load_shots_text(path)
+    source.seek(0)
     if head == b"{":
-        return load_counts(path)
-    return load_shots_text(path)
+        return _parse_count_table(path, _read_json_object(path, source))
+    return _parse_shots_text(path, source)
 
 
 def _cmd_generate(args) -> int:
@@ -224,11 +234,16 @@ def _cmd_mitigate(args) -> int:
         max_iters=args.max_iters, seed=seed, eps_init=args.eps_init,
         mml_enabled=not args.no_mml,
     )
-    dataset = _load_dataset(args.input)
-    log.info("mitigate: %s (S=%d, n=%d), seed=%d",
-             args.input, dataset.s, dataset.n, seed)
+
+    def loaded() -> ShotDataset:
+        dataset = _load_dataset(args.input)
+        log.info("mitigate: %s (S=%d, n=%d), seed=%d",
+                 args.input, dataset.s, dataset.n, seed)
+        return dataset
+
+    # no name holds the input here, so the pipeline can free it once filtered
     result = run_pipeline(
-        dataset, filter_config, em_config,
+        loaded(), filter_config, em_config,
         skip_filter=args.skip_filter, threshold=args.threshold,
     )
     em_report, filter_report, fallback = (
@@ -236,8 +251,9 @@ def _cmd_mitigate(args) -> int:
     )
     if filter_report is not None:
         log.info("filter: kept %d of %d shots at Hamming radius %d, T=%g",
-                 filter_report.kept.s, dataset.s, filter_report.radius,
-                 filter_report.threshold_used)
+                 filter_report.kept.s,
+                 filter_report.kept.s + filter_report.removed_count,
+                 filter_report.radius, filter_report.threshold_used)
 
     model_out = args.model_out or f"{args.input}.model.json"
     meta = {

@@ -166,19 +166,25 @@ def run_pipeline(
     to running EM on the unfiltered dataset: the filter is a pre-processing
     step, not a correctness requirement. ``threshold`` overrides the derived
     filter threshold with an absolute value, which also keeps the radius at 1.
+
+    Once the filter has returned, the pipeline holds no reference to the
+    unfiltered input. A caller that passes its only reference, as in
+    ``run_pipeline(load_counts(path), ...)``, lets CPython 3.11 and later
+    free it before EM runs on the kept shots.
     """
     filter_report = None
     fallback = False
     working = dataset
+    del dataset
     if not skip_filter:
         try:
-            filter_report = filter_dataset(dataset, filter_config, threshold=threshold)
+            filter_report = filter_dataset(working, filter_config, threshold=threshold)
             working = filter_report.kept
         except AllFilteredError:
             fallback = True
             log.warning(
                 "filter would remove all %d shots; running EM unfiltered",
-                dataset.s,
+                working.s,
             )
     report = run_em(working, em_config)
     return PipelineResult(report, filter_report, fallback)

@@ -26,6 +26,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import io
 import json
 import numbers
 import os
@@ -311,11 +312,17 @@ def load_shots_text(path) -> ShotDataset:
     Blank lines are ignored; n is inferred from the first shot. Raises
     ParseError / DimensionError with a 1-based line number on bad content.
     """
+    return _parse_shots_text(path, open(path, "rb"))
+
+
+def _parse_shots_text(path, fh) -> ShotDataset:
+    """The dataset of ``fh``, a binary stream of the shots text ``path``,
+    which it closes (see ``load_shots_text``)."""
     texts = []
     n = None
     # undecodable bytes read as U+FFFD, which the binary check rejects
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with io.TextIOWrapper(fh, encoding="utf-8", errors="replace") as lines:
+        for lineno, line in enumerate(lines, start=1):
             text = line.strip()
             if not text:
                 continue
@@ -353,7 +360,12 @@ def load_counts(path) -> ShotDataset:
     dataset = _read_canonical_counts(path)
     if dataset is not None:
         return dataset
-    table = _read_json_object(path)
+    return _parse_count_table(path, _read_json_object(path))
+
+
+def _parse_count_table(path, table: dict) -> ShotDataset:
+    """The dataset of a JSON count table (see ``load_counts``); errors
+    name ``path``."""
     if not table:
         raise EmptyDatasetError(f"{path}: empty count table")
     texts, counts = list(table), list(table.values())
@@ -507,12 +519,14 @@ def _raise_first_bad(path, table: dict) -> None:
             raise DimensionError(f"{path}: key {key!r} has {len(key)} bits, expected {n}")
 
 
-def _read_json_object(path) -> dict:
-    """The top-level JSON object of a UTF-8 file. Undecodable bytes, invalid
-    or too deeply nested JSON, and any other top level are a ParseError."""
+def _read_json_object(path, fh=None) -> dict:
+    """The top-level JSON object of a UTF-8 file, or of ``fh``, a binary
+    stream of its bytes, which it closes. Undecodable bytes, invalid or too
+    deeply nested JSON, and any other top level are a ParseError."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)  # one decoded copy of the file at a time
+        with io.TextIOWrapper(open(path, "rb") if fh is None else fh,
+                              encoding="utf-8") as text:
+            doc = json.load(text)  # one decoded copy of the file at a time
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):

@@ -3,6 +3,7 @@ checked against, and small random-instance generators."""
 
 from __future__ import annotations
 
+import inspect
 import math
 import os
 import subprocess
@@ -29,6 +30,17 @@ def run_python(code: str, **env) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1", **env)
     return subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=300)
+
+
+def peak() -> int:
+    """This process's peak resident set, VmHWM, in KiB. It is the process's
+    own: ru_maxrss keeps the peak of the process that forked it."""
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+
+# ``peak``'s definition, for the code a fresh interpreter runs
+PEAK = inspect.getsource(peak)
 
 
 def naive_hamming(a: str, b: str) -> int:

@@ -1,13 +1,16 @@
 import hashlib
 import json
+import os
+import sys
+import weakref
 
 import pytest
 
-from qem_mix import depfilter
+from qem_mix import cli, depfilter, harness
 from qem_mix.cli import dispatch
 from qem_mix.shotdata import load_counts
 
-from conftest import run_python
+from conftest import PEAK, run_python
 
 
 def run(capsys, *argv):
@@ -368,6 +371,27 @@ class TestFilterCommand:
         assert out.startswith(f"filter: S_in={s_in} ")
 
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="opens a pipe by path")
+    @pytest.mark.parametrize("body", [
+        b"0101\n0110\n0101\n1111\n",
+        b'{"0101":3,"0110":4}\n',
+    ], ids=["shots", "counts"])
+    def test_reads_a_pipe_once(self, capsys, tmp_path, body):
+        # like a shell's <(...): a second open of the path reads nothing
+        data = tmp_path / "data"
+        data.write_bytes(body)
+        by_name = run(capsys, "filter", str(data), "--t-floor", "1")
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, body)
+            os.close(write_end)
+            by_pipe = run(capsys, "filter", f"/dev/fd/{read_end}", "--t-floor", "1")
+        finally:
+            os.close(read_end)
+        assert by_pipe[:2] == by_name[:2]
+        assert by_name[0] == 0 and len(by_name[1].splitlines()) == 2
+
+
 class TestPipeline:
     def _generate(self, capsys, tmp_path, seed="3"):
         data = tmp_path / "data.json"
@@ -453,6 +477,76 @@ class TestPipeline:
         assert code == 0
         doc = json.loads(model.text if hasattr(model, "text") else model.read_text())
         assert doc["solutions"] == ["0101"]
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason=(
+    "before CPython 3.11 the caller's frame keeps a call's arguments alive, "
+    "so the input outlives the filter"))
+class TestInputFreedBeforeEm:
+    def _input_alive_at_em(self, capsys, monkeypatch, data, *flags) -> bool:
+        """Whether the dataset ``mitigate`` loaded is alive when EM starts."""
+        loaded, alive = [], []
+        load, em = cli._load_dataset, harness.run_em
+
+        def load_spy(path):
+            dataset = load(path)
+            loaded.append(weakref.ref(dataset))
+            return dataset
+
+        def em_spy(*args, **kwargs):
+            alive.append(loaded[0]() is not None)
+            return em(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_load_dataset", load_spy)
+        monkeypatch.setattr(harness, "run_em", em_spy)
+        code, _, err = run(capsys, "mitigate", str(data), "--seed", "1",
+                           "--model-out", str(data) + ".model.json", *flags)
+        assert code == 0, err
+        return alive == [True]
+
+    def test_freed_after_the_filter(self, capsys, monkeypatch, tmp_path):
+        data = tmp_path / "data.json"
+        assert run(capsys, "generate", "--n", "10", "--k", "2", "--s", "4000",
+                   "--seed", "3", "--out", str(data))[0] == 0
+        assert not self._input_alive_at_em(capsys, monkeypatch, data, "--t-floor", "25")
+
+    def test_kept_where_em_runs_on_it(self, capsys, monkeypatch, tmp_path):
+        data = tmp_path / "data.txt"
+        data.write_text("0101\n" * 60 + "1010\n" * 40)
+        assert self._input_alive_at_em(capsys, monkeypatch, data, "--skip-filter")
+        # every string has 3 shots within one bit, under T=10: the filter
+        # removes them all and EM falls back to the input
+        data.write_text("0000000000\n" * 3 + "1111111111\n" * 3)
+        assert self._input_alive_at_em(capsys, monkeypatch, data,
+                                       "--threshold", "10", "--no-mml")
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+    def test_em_raises_no_new_peak(self, capsys, tmp_path):
+        # a fresh process: EM's arrays and imports fit under the peak the
+        # load and the filter set, once the unfiltered input is freed
+        data = tmp_path / "data.json"
+        assert run(capsys, "generate", "--n", "20", "--k", "4", "--s", "1000000",
+                   "--p", "0.85", "--eps-low", "0.02", "--eps-high", "0.1",
+                   "--seed", "11", "--out", str(data))[0] == 0
+        code = PEAK + (
+            "from qem_mix import cli, harness\n"
+            "marks = {}\n"
+            "def after(name, func):\n"
+            "    def spy(*args, **kwargs):\n"
+            "        result = func(*args, **kwargs)\n"
+            "        marks[name] = peak()\n"
+            "        return result\n"
+            "    return spy\n"
+            "harness.filter_dataset = after('filter', harness.filter_dataset)\n"
+            "harness.run_em = after('em', harness.run_em)\n"
+            f"argv = ['--quiet', 'mitigate', {str(data)!r}, '--t-floor', '65', '--seed', '5']\n"
+            "assert cli.dispatch(argv) == 0\n"
+            "print(marks['filter'], marks['em'])\n"
+        )
+        done = run_python(code)
+        assert done.returncode == 0, done.stderr
+        filtered, em = map(int, done.stdout.split())
+        assert em <= filtered + 1024  # KiB
 
 
 class TestSweepCommand:

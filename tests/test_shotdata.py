@@ -16,7 +16,7 @@ from qem_mix.shotdata import (
     save_counts,
 )
 
-from conftest import naive_hamming, random_dataset, run_python
+from conftest import PEAK, naive_hamming, random_dataset, run_python
 
 
 B = BitString.from_text
@@ -385,12 +385,8 @@ class TestShotsTextIO:
         assert load_shots_text(path).s == 2
 
 
-# VmHWM is this process's own peak: ru_maxrss keeps the peak of the process
-# that forked it
 PEAK_GROWTH = (
-    "def peak():\n"
-    "    with open('/proc/self/status') as fh:\n"
-    "        return next(int(l.split()[1]) for l in fh if l.startswith('VmHWM:'))\n"
+    PEAK +
     "from qem_mix.shotdata import load_counts\n"
     "before = peak()\n"
     "ds = load_counts({path!r})\n"

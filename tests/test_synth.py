@@ -17,7 +17,7 @@ from qem_mix.synth import (
     save_ground_truth,
 )
 
-from conftest import run_python
+from conftest import PEAK, run_python
 
 
 class TestNoiseSpec:
@@ -212,13 +212,9 @@ class TestBlockedDraws:
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
     @pytest.mark.parametrize("p", [0.0, 1.0])
     def test_peak_memory_is_bounded(self, p):
-        # S x n uint8 bits would be 64 MB here, and their flip doubles 512 MB.
-        # VmHWM is this process's own peak: ru_maxrss keeps the peak of the
-        # process that forked it
+        # S x n uint8 bits would be 64 MB here, and their flip doubles 512 MB
         code = (
-            "def peak():\n"
-            "    with open('/proc/self/status') as fh:\n"
-            "        return next(int(l.split()[1]) for l in fh if l.startswith('VmHWM:'))\n"
+            PEAK +
             "from qem_mix.synth import (NoiseSpec, generate_shots,\n"
             "                           sample_flip_probabilities, sample_ground_truth)\n"
             "truth = sample_ground_truth(128, 4, 1)\n"

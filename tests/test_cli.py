@@ -370,7 +370,6 @@ class TestFilterCommand:
         assert code == 0, err
         assert out.startswith(f"filter: S_in={s_in} ")
 
-
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="opens a pipe by path")
     @pytest.mark.parametrize("body", [
         b"0101\n0110\n0101\n1111\n",

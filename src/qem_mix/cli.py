@@ -8,12 +8,10 @@ Diagnostics go to stderr; data goes to files or stdout.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import logging
 import os
 import random
-import stat
 import sys
 from dataclasses import asdict, replace
 
@@ -23,8 +21,7 @@ from .emcore import EmConfig, load_model, save_model
 from .errors import QemError
 from .harness import NoiseGrid, _seeds, load_sweep_config, run_pipeline, run_sweep
 from .metrics import ber, hellinger_fidelity, model_to_distribution
-from .shotdata import (ShotDataset, _parse_count_table, _parse_shots_text, _read_json_object,
-                       load_counts, load_shots_text, save_counts)
+from .shotdata import ShotDataset, _seekable, load_counts, load_shots_text, save_counts
 from .synth import (
     NoiseSpec,
     generate_shots,
@@ -156,21 +153,14 @@ def _effective_seed(args, sub_seed) -> int:
 
 def _load_dataset(path) -> ShotDataset:
     """Counts JSON if the input's first byte that is not JSON whitespace is
-    '{', shots text otherwise. A regular file is then read again by its
-    loader; any other input, such as a pipe, can be read only once, so it is
-    read whole and parsed from those bytes."""
-    with open(path, "rb") as fh:
-        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
-        source = fh if regular else io.BytesIO(fh.read())
-        head = source.read(1)
+    '{', shots text otherwise. The input is opened once: its loader reads
+    the same seekable stream (``_seekable``) from the start."""
+    with _seekable(path) as fh:
+        head = fh.read(1)
         while head in (b" ", b"\t", b"\n", b"\r"):
-            head = source.read(1)
-    if regular:
-        return load_counts(path) if head == b"{" else load_shots_text(path)
-    source.seek(0)
-    if head == b"{":
-        return _parse_count_table(path, _read_json_object(path, source))
-    return _parse_shots_text(path, source)
+            head = fh.read(1)
+        fh.seek(0)
+        return load_counts(path, fh) if head == b"{" else load_shots_text(path, fh)
 
 
 def _cmd_generate(args) -> int:

@@ -12,11 +12,13 @@ Conventions used throughout the package:
   built only for callers that ask for them. Ordered shots keep their
   per-shot keys, and ``shot_index()`` searches them on each call, so a
   dataset never changes once built, apart from its cached views.
-* Counts files in the form ``save_counts`` writes are parsed with numpy
+* Every input is read through one seekable binary stream (``_seekable``);
+  a pipe's bytes are first copied into memory. Counts files in the form
+  ``save_counts`` writes are parsed in one pass with numpy,
   ``_SCAN_BLOCK`` bytes at a time, through one reused buffer
-  (``_records``), so a load holds the dataset it returns and a few blocks,
-  not the file. Any other counts file goes to the JSON reader, which gives
-  each error its message.
+  (``_records``), so a load of a file holds the dataset it returns and a
+  few blocks, not the file. Any other counts file goes to the JSON reader,
+  which gives each error its message.
 * Only this module knows the key layout and the key order. Its codec
   helpers are the only encoders and decoders of the layout: ``_text_bits``,
   ``_pack_bits``, ``_unpack_bits``, ``_key_values``, ``_strings_bits`` and
@@ -29,8 +31,6 @@ from __future__ import annotations
 import io
 import json
 import numbers
-import os
-import stat
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -306,22 +306,27 @@ def _unique_rows(keys: np.ndarray) -> tuple:
 _QUOTED_CHARS = 80
 
 
-def load_shots_text(path) -> ShotDataset:
+def _seekable(path, fh=None):
+    """``fh``, or else ``path`` opened, as a seekable binary stream: one
+    that cannot seek, such as a pipe, is read whole into an io.BytesIO."""
+    fh = open(path, "rb") if fh is None else fh
+    if fh.seekable():
+        return fh
+    with fh:
+        return io.BytesIO(fh.read())
+
+
+def load_shots_text(path, fh=None) -> ShotDataset:
     """Read a dataset from a text file, one bit-string per line.
 
     Blank lines are ignored; n is inferred from the first shot. Raises
     ParseError / DimensionError with a 1-based line number on bad content.
+    ``fh``, if given, is the file opened as a binary stream at its start.
     """
-    return _parse_shots_text(path, open(path, "rb"))
-
-
-def _parse_shots_text(path, fh) -> ShotDataset:
-    """The dataset of ``fh``, a binary stream of the shots text ``path``,
-    which it closes (see ``load_shots_text``)."""
     texts = []
     n = None
     # undecodable bytes read as U+FFFD, which the binary check rejects
-    with io.TextIOWrapper(fh, encoding="utf-8", errors="replace") as lines:
+    with io.TextIOWrapper(_seekable(path, fh), encoding="utf-8", errors="replace") as lines:
         for lineno, line in enumerate(lines, start=1):
             text = line.strip()
             if not text:
@@ -342,25 +347,28 @@ def _parse_shots_text(path, fh) -> ShotDataset:
     return ShotDataset._from_shot_keys(n, _pack_bits(_text_bits(texts, n)))
 
 
-def load_counts(path) -> ShotDataset:
+def load_counts(path, fh=None) -> ShotDataset:
     """Read a dataset from a JSON count table {bitstring: count}.
 
     The table is validated, packed and sorted without expanding the counts,
     so memory grows with the number of distinct strings, not with S. The
     shot order is lexicographic regardless of the file's key order.
+    ``fh``, if given, is the file opened as a binary stream at its start.
 
     A file in the exact byte form ``save_counts`` writes is parsed with
-    numpy: ``{"bits":count,...}`` and a newline, with no whitespace or
-    escapes, every key n >= 1 characters of 0 and 1, every count 1 to 18
-    digits with no leading zero, and no key twice. Such a regular file is
-    read a block at a time, and besides the dataset only one block's bytes
-    and temporaries are held. Any other file, a pipe among them, is read as
-    JSON, and gives the same dataset or error it always did.
+    numpy in one pass: ``{"bits":count,...}`` and a newline, with no
+    whitespace or escapes, every key n >= 1 characters of 0 and 1, every
+    count 1 to 18 digits with no leading zero, and no key twice. Besides
+    the dataset, a load holds one block's bytes and temporaries, and the
+    bytes of a pipe. Any other file is read as JSON, and gives the same
+    dataset or error it always did.
     """
-    dataset = _read_canonical_counts(path)
-    if dataset is not None:
-        return dataset
-    return _parse_count_table(path, _read_json_object(path))
+    with _seekable(path, fh) as fh:
+        dataset = _read_canonical_counts(fh)
+        if dataset is not None:
+            return dataset
+        fh.seek(0)
+        return _parse_count_table(path, _read_json_object(path, fh))
 
 
 def _parse_count_table(path, table: dict) -> ShotDataset:
@@ -416,47 +424,38 @@ def _records(fh, end: int):
             kept -= cut
 
 
-def _read_canonical_counts(path) -> Optional[ShotDataset]:
-    """The dataset of a counts file in ``save_counts``'s byte form, or None
-    if the file deviates from it anywhere (see ``load_counts``).
+def _read_canonical_counts(fh) -> Optional[ShotDataset]:
+    """The dataset of ``fh``, a seekable binary stream of a counts file in
+    ``save_counts``'s byte form, or None if it deviates from it anywhere
+    (see ``load_counts``).
 
-    The file is read twice, in blocks of records that end at a comma
-    (``_records``). The first pass counts the quotes and takes n from the
-    first key, so the keys and counts are allocated once, at their size.
-    The second checks, packs and parses each block's records; None if it
-    finds another number of records than the first.
+    The stream is read once, from its start, in blocks of records that end
+    at a comma (``_records``). n is taken from the first key. Every record
+    takes at least n + 5 bytes, so the keys and counts are allocated once,
+    for the stream's length, and rows past the last record are never
+    written. Each block's records are checked, packed and parsed in turn.
     """
-    if not stat.S_ISREG(os.stat(path).st_mode):
-        return None  # a pipe can be read once: the JSON reader reads it in one pass
-    with open(path, "rb") as fh:
-        quotes, n = 0, None
-        for chunk in _records(fh, ord(",")):
-            if n is None:
-                at = np.flatnonzero(chunk == ord('"'))[:2]
-                n = int(at[1] - at[0]) - 1 if len(at) == 2 else 0
-            quotes += int(np.count_nonzero(chunk == ord('"')))
-        u = quotes // 2
-        if not u or quotes % 2 or n < 1:
-            return None
-        keys = np.empty((u, -(-n // 64)), dtype=np.uint64)
-        counts = np.empty(u, dtype=np.int64)
-        fh.seek(0)
-        lo = 0
-        for chunk in _records(fh, ord(",")):
-            if lo == 0:  # the file's first record
-                if not len(chunk) or chunk[0] != ord("{"):
-                    return None
-                chunk = chunk[1:]
-            if not len(chunk) or chunk[-1] != ord(","):  # the file's last record
-                if chunk[-2:].tobytes() != b"}\n":
-                    return None
-                chunk = chunk[:-1]
-            lo = _parse_records(chunk, n, keys, counts, lo)
-            if lo is None:
+    size = fh.seek(0, io.SEEK_END)
+    fh.seek(0)
+    lo = 0
+    for chunk in _records(fh, ord(",")):
+        if lo == 0:  # the file's first record
+            at = np.flatnonzero(chunk == ord('"'))[:2]
+            n = int(at[1] - at[0]) - 1 if len(at) == 2 else 0
+            if n < 1 or chunk[0] != ord("{"):
                 return None
-    if lo != u:
-        return None  # the file changed between the passes
-    if int(counts.max()) * u >= 1 << 63 and sum(counts.tolist()) >= 1 << 63:
+            keys = np.empty((size // (n + 5), -(-n // 64)), dtype=np.uint64)
+            counts = np.empty(len(keys), dtype=np.int64)
+            chunk = chunk[1:]
+        if not len(chunk) or chunk[-1] != ord(","):  # the file's last record
+            if chunk[-2:].tobytes() != b"}\n":
+                return None
+            chunk = chunk[:-1]
+        lo = _parse_records(chunk, n, keys, counts, lo)
+        if lo is None:
+            return None
+    keys, counts = keys[:lo], counts[:lo]
+    if int(counts.max()) * lo >= 1 << 63 and sum(counts.tolist()) >= 1 << 63:
         return None  # the JSON reader raises for this total
     # save_counts writes keys ascending
     if keys.shape[1] > 1 or np.any(keys[1:, 0] <= keys[:-1, 0]):

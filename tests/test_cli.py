@@ -1,3 +1,4 @@
+import builtins
 import hashlib
 import json
 import os
@@ -389,6 +390,35 @@ class TestFilterCommand:
             os.close(read_end)
         assert by_pipe[:2] == by_name[:2]
         assert by_name[0] == 0 and len(by_name[1].splitlines()) == 2
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="opens a pipe by path")
+    @pytest.mark.parametrize("piped", [False, True], ids=["file", "pipe"])
+    @pytest.mark.parametrize("body", [
+        b'{"0101":3,"0110":4}\n',
+        b'{"0101": 3, "0110": 4}',
+        b"0101\n0110\n0101\n",
+    ], ids=["counts", "other-counts", "shots"])
+    def test_opens_its_input_once(self, capsys, monkeypatch, tmp_path, body, piped):
+        # the format is sniffed from the stream the loader then reads
+        opened, real_open = [], builtins.open
+
+        def counted_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        data = tmp_path / "data"
+        data.write_bytes(body)
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, body)
+            os.close(write_end)
+            path = f"/dev/fd/{read_end}" if piped else str(data)
+            monkeypatch.setattr(builtins, "open", counted_open)
+            code, out, err = run(capsys, "filter", path, "--t-floor", "1")
+        finally:
+            os.close(read_end)
+        assert code == 0, err
+        assert opened.count(path) == 1
 
 
 class TestPipeline:

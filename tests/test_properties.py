@@ -197,9 +197,10 @@ def test_canonical_reader_ignores_block_size(scratch, data, block):
     end inside a key, a count or a separator, or hold one record."""
     named = st.sampled_from(list(NAMED_FILES.values()))
     scratch.write_bytes(data.draw(named | near_canonical_files(data.draw(st.sampled_from(EDITS)))))
-    whole = shotdata._read_canonical_counts(scratch)
-    with mock.patch.object(shotdata, "_SCAN_BLOCK", block):
-        assert shotdata._read_canonical_counts(scratch) == whole
+    with open(scratch, "rb") as fh:
+        whole = shotdata._read_canonical_counts(fh)
+        with mock.patch.object(shotdata, "_SCAN_BLOCK", block):
+            assert shotdata._read_canonical_counts(fh) == whole
 
 
 @pytest.mark.parametrize("body, edge", EDGE_FILES.values(), ids=EDGE_FILES)
@@ -242,7 +243,8 @@ def test_save_counts_writes_the_reference_bytes(scratch, block, dataset):
     with mock.patch.object(shotdata, "_WRITE_BLOCK", block):
         save_counts(dataset, scratch)
     assert scratch.read_bytes() == reference.read_bytes()
-    fast = shotdata._read_canonical_counts(scratch)
+    with open(scratch, "rb") as fh:
+        fast = shotdata._read_canonical_counts(fh)
     assert fast == (dataset if dataset.key_counts.max() < 10**18 else None)
     assert load_counts(scratch) == dataset
 

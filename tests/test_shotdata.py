@@ -408,6 +408,37 @@ def test_counts_load_memory_is_bounded(tmp_path, rng):
     assert grown < arrays + 8
 
 
+PIPED_PEAK_GROWTH = (
+    PEAK +
+    "import os, subprocess\n"
+    "from qem_mix.shotdata import load_counts\n"
+    "read_end, write_end = os.pipe()\n"
+    "cat = subprocess.Popen(['cat', {path!r}], stdout=write_end)\n"
+    "os.close(write_end)\n"
+    "before = peak()\n"
+    "ds = load_counts(f'/dev/fd/{{read_end}}')\n"
+    "grown = (peak() - before) / 1024\n"
+    "assert cat.wait() == 0\n"
+    "print(grown, (ds.keys.nbytes + ds.key_counts.nbytes) / 2**20, ds == load_counts({path!r}))\n"
+)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists() or not Path("/dev/fd").is_dir(),
+                    reason="reads VmHWM and opens a pipe by path")
+def test_piped_counts_load_memory_is_bounded(tmp_path, rng):
+    """A canonical counts file read from a pipe raises a fresh process's
+    peak by the file's bytes, the keys and counts and a few blocks, and
+    gives the dataset the file gives by name."""
+    keys = np.sort(rng.choice(1 << 20, 10**6, replace=False)).astype(np.uint64)
+    path = tmp_path / "counts.json"
+    save_counts(ShotDataset._make(20, keys.reshape(-1, 1), rng.integers(1, 1000, 10**6)), path)
+    done = run_python(PIPED_PEAK_GROWTH.format(path=str(path)))
+    assert done.returncode == 0, done.stderr
+    grown, arrays, same = done.stdout.split()
+    assert same == "True"
+    assert float(grown) < path.stat().st_size / 2**20 + float(arrays) + 8
+
+
 def _pipe_path(body: bytes) -> str:
     """A path that reads ``body`` from a pipe once, like a shell's
     ``<(...)``; a second open of it reads nothing."""

@@ -49,7 +49,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import AllFilteredError
-from .shotdata import _TABLE_ENTRIES_PER_KEY, ShotDataset, _check_integer, _sortable
+from .shotdata import ShotDataset, _check_integer, _sortable
 
 __all__ = [
     "FilterConfig",
@@ -63,6 +63,9 @@ __all__ = [
 
 log = logging.getLogger("qem_mix.depfilter")
 
+# The radius-1 support counts use a dense table over all 2**n values when it
+# has at most this many entries per distinct string.
+_TABLE_ENTRIES_PER_KEY = 16
 # Entries computed per block by the support passes: table lookups at radius
 # 1; at radius r > 1 each of a worker's two Gram tile buffers holds a
 # quarter as many (1 MiB of float32 each).
@@ -439,7 +442,7 @@ def filter_dataset(
     the pass is redone at ``select_radius(S, n, config)``, unless its T_r
     exceeds S: no support can reach it, and the pass is skipped.
 
-    Shot order and multiplicity are preserved. Pass ``threshold`` to reuse
+    Multiplicity is preserved. Pass ``threshold`` to reuse
     an absolute T (e.g. a previous report's threshold_used) at radius 1:
     re-deriving T from the smaller filtered S would silently shift the
     criterion. Raises ValueError for a non-finite ``threshold`` and

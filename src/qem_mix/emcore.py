@@ -223,8 +223,9 @@ def _mml_penalty(s: int, n: int, alpha: np.ndarray) -> float:
 
 
 def e_step(dataset: ShotDataset, model: MixtureModel) -> np.ndarray:
-    """Posterior responsibilities W (S x K); columns of zero-weight
-    components are exactly zero, rows sum to 1."""
+    """Posterior responsibilities W (S x K), one row per shot in key
+    order; columns of zero-weight components are exactly zero, rows sum
+    to 1."""
     w, _, _ = _posterior(dataset, model)
     return w[dataset.shot_index()]
 

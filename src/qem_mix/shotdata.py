@@ -5,13 +5,13 @@ Conventions used throughout the package:
 * A bit-string of n bits is written most-significant-qubit first, i.e. the
   leftmost character of ``"1100"`` is bit j=1. A ``BitString`` holds its
   bits in one Python integer, so XOR and popcount run word-wise.
-* A dataset is an ordered, immutable multiset of equal-length bit-strings,
-  held count-native: its distinct strings as packed uint64 keys in
-  ascending order plus their counts (see ``ShotDataset``). Loading,
-  filtering, EM and saving run on that form; ``BitString`` objects are
-  built only for callers that ask for them. Ordered shots keep their
-  per-shot keys, and ``shot_index()`` searches them on each call, so a
-  dataset never changes once built, apart from its cached views.
+* A dataset is an immutable multiset of equal-length bit-strings, held in
+  one form: its distinct strings as packed uint64 keys in ascending order
+  plus their counts (see ``ShotDataset``). It keeps no shot order: every
+  per-shot view lists the shots in key order. Loading, filtering, EM and
+  saving run on that form; ``BitString`` objects are built only for
+  callers that ask for them, and a dataset never changes once built,
+  apart from its cached views.
 * Every input is read through one seekable binary stream (``_seekable``);
   a pipe's bytes are first copied into memory. Counts files in the form
   ``save_counts`` writes are parsed in one pass with numpy,
@@ -108,17 +108,16 @@ def hamming_distance(a: BitString, b: BitString) -> int:
 
 
 class ShotDataset:
-    """Immutable ordered collection of S equal-length bit-strings.
+    """Immutable multiset of S equal-length bit-strings.
 
-    Held count-native: ``keys`` are the U distinct strings in ascending
-    order, each packed into W = ceil(n/64) uint64 words (word 0 the most
-    significant), and ``key_counts`` their int64 counts. Datasets of
-    ordered shots (BitStrings, bit matrices, text files, generated shots,
-    subsets, and what ``select_distinct`` keeps of these) also keep their
-    S x W per-shot keys, the only stored form of shot order; a count
-    table holds none and expands in key order. ``shot_index()`` computes
-    the index into ``keys`` on each call. The BitString views ``shots``,
-    ``counts`` and ``bit_matrix`` are built lazily and cached.
+    A dataset is its ``keys``, the U distinct strings in ascending order,
+    each packed into W = ceil(n/64) uint64 words (word 0 the most
+    significant), and ``key_counts``, their int64 counts; it holds nothing
+    of size S. Every constructor ends in these two arrays, so the order in
+    which shots were given is not kept: the per-shot views (``shot_index()``,
+    ``shots``, ``bit_matrix``, ``e_step``) expand the counts in key order.
+    The BitString views ``shots``, ``counts`` and ``bit_matrix`` are built
+    lazily and cached.
     """
 
     def __init__(self, shots: Iterable[BitString]):
@@ -127,35 +126,24 @@ class ShotDataset:
         for i, s in enumerate(shots):
             if s.n != n:
                 raise DimensionError(f"shot {i} has {s.n} bits, expected {n}")
-        shot_keys = _pack_bits(_text_bits([s.text for s in shots], n))
-        self._set(n, *_unique_rows(shot_keys), shot_keys=shot_keys)
+        self._set(n, *_unique_rows(_pack_bits(_text_bits([s.text for s in shots], n))))
 
     @classmethod
-    def _make(cls, n, keys, key_counts, shot_keys=None) -> "ShotDataset":
+    def _make(cls, n, keys, key_counts) -> "ShotDataset":
         dataset = cls.__new__(cls)
-        dataset._set(n, keys, key_counts, shot_keys)
+        dataset._set(n, keys, key_counts)
         return dataset
 
-    @classmethod
-    def _from_shot_keys(cls, n, shot_keys: np.ndarray) -> "ShotDataset":
-        """The dataset of S x W per-shot keys of n bits, in shot order."""
-        return cls._make(n, *_unique_rows(shot_keys), shot_keys=shot_keys)
-
-    def _set(self, n, keys, key_counts, shot_keys=None):
+    def _set(self, n, keys, key_counts):
         if not len(key_counts):
             raise EmptyDatasetError("a dataset must contain at least one shot")
-        for arr in (keys, key_counts, shot_keys):
-            if arr is not None:
-                arr.flags.writeable = False
+        keys.flags.writeable = key_counts.flags.writeable = False
         self.n, self.s, self.distinct = n, int(key_counts.sum()), len(keys)
-        self.keys, self.key_counts, self._shot_keys = keys, key_counts, shot_keys
+        self.keys, self.key_counts = keys, key_counts
 
     def shot_index(self) -> np.ndarray:
-        """Row of ``keys`` holding each shot, in shot order: searched from
-        the per-shot keys of ordered shots on each call."""
-        if self._shot_keys is None:
-            return np.repeat(np.arange(self.distinct), self.key_counts)
-        return np.searchsorted(_sortable(self.keys), _sortable(self._shot_keys))
+        """Row of ``keys`` holding each shot, in key order."""
+        return np.repeat(np.arange(self.distinct), self.key_counts)
 
     def distinct_bits(self, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
         """uint8 bit matrix of the distinct strings in key order: all U of
@@ -168,6 +156,7 @@ class ShotDataset:
 
     @cached_property
     def shots(self) -> tuple:
+        """Every shot as a BitString, in key order."""
         strings = self._strings
         return tuple(strings[i] for i in self.shot_index().tolist())
 
@@ -179,51 +168,36 @@ class ShotDataset:
 
     @cached_property
     def bit_matrix(self) -> np.ndarray:
-        """Dense S x n uint8 matrix of shot bits (read-only)."""
+        """Dense S x n uint8 matrix of shot bits, in key order (read-only)."""
         mat = self.distinct_bits()[self.shot_index()]
         mat.flags.writeable = False
         return mat
 
     @classmethod
     def from_bit_matrix(cls, matrix: np.ndarray) -> "ShotDataset":
-        """Build a dataset from an S x n {0,1} matrix."""
+        """Build a dataset from the rows of an S x n {0,1} matrix."""
         matrix = np.asarray(matrix, dtype=np.uint8)
         if matrix.ndim != 2 or matrix.shape[1] < 1:
             raise DimensionError(f"expected an S x n matrix, got shape {matrix.shape}")
-        return cls._from_shot_keys(matrix.shape[1], _pack_bits(matrix))
+        return cls._make(matrix.shape[1], *_unique_rows(_pack_bits(matrix)))
 
     def subset(self, indices: Sequence[int]) -> "ShotDataset":
-        """New dataset containing the shots at the given positions, in order."""
-        indices = np.asarray(indices, dtype=np.intp)
-        if self._shot_keys is None:
-            return ShotDataset._from_shot_keys(self.n, self.keys[self.shot_index()[indices]])
-        return ShotDataset._from_shot_keys(self.n, self._shot_keys[indices])
+        """New dataset of the shots at the given positions of the key-order
+        expansion (``shot_index()``). A sorted uniform sample of positions
+        draws shots without replacement from the multiset."""
+        rows = self.shot_index()[np.asarray(indices, dtype=np.intp)]
+        return ShotDataset._make(self.n, *_unique_rows(self.keys[rows]))
 
     def select_distinct(self, mask: np.ndarray) -> "ShotDataset":
         """New dataset with every shot of the distinct strings where the
-        boolean ``mask`` (aligned with ``keys``) is true, in shot order.
-
-        On one-word keys with 2**n at most ``_TABLE_ENTRIES_PER_KEY``
-        entries per distinct string, each ordered shot looks its key up in
-        a dense 2**n table of the kept keys: O(2**n + S). Otherwise it looks
-        ``mask`` up at ``shot_index()``: O(S log U)."""
-        shot_keys = self._shot_keys
-        if shot_keys is not None and self.keys.shape[1] == 1 \
-                and 1 << self.n <= _TABLE_ENTRIES_PER_KEY * self.distinct:
-            table = np.zeros(1 << self.n, dtype=bool)  # kept or not, per n-bit value
-            table[self.keys[mask, 0]] = True
-            shot_keys = shot_keys[table[shot_keys[:, 0]]]
-        elif shot_keys is not None:
-            shot_keys = shot_keys[mask[self.shot_index()]]
-        return ShotDataset._make(self.n, self.keys[mask], self.key_counts[mask], shot_keys)
+        boolean ``mask`` (aligned with ``keys``) is true."""
+        return ShotDataset._make(self.n, self.keys[mask], self.key_counts[mask])
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ShotDataset) and self.n == other.n
             and np.array_equal(self.keys, other.keys)
             and np.array_equal(self.key_counts, other.key_counts)
-            and (self._shot_keys is None and other._shot_keys is None
-                 or np.array_equal(self.shot_index(), other.shot_index()))
         )
 
     def __hash__(self):
@@ -231,12 +205,6 @@ class ShotDataset:
 
     def __repr__(self) -> str:
         return f"ShotDataset(n={self.n}, s={self.s}, distinct={self.distinct})"
-
-
-# A dense table over all 2**n values (the radius-1 support counts, the shot
-# mask of select_distinct) is used when it has at most this many entries
-# per distinct string.
-_TABLE_ENTRIES_PER_KEY = 16
 
 
 def _text_bits(texts: list, n: int) -> np.ndarray:
@@ -344,15 +312,15 @@ def load_shots_text(path, fh=None) -> ShotDataset:
             texts.append(text)
     if not texts:
         raise EmptyDatasetError(f"{path}: no shots found")
-    return ShotDataset._from_shot_keys(n, _pack_bits(_text_bits(texts, n)))
+    return ShotDataset._make(n, *_unique_rows(_pack_bits(_text_bits(texts, n))))
 
 
 def load_counts(path, fh=None) -> ShotDataset:
     """Read a dataset from a JSON count table {bitstring: count}.
 
     The table is validated, packed and sorted without expanding the counts,
-    so memory grows with the number of distinct strings, not with S. The
-    shot order is lexicographic regardless of the file's key order.
+    so memory grows with the number of distinct strings, not with S,
+    whatever the file's key order.
     ``fh``, if given, is the file opened as a binary stream at its start.
 
     A file in the exact byte form ``save_counts`` writes is parsed with

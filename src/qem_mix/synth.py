@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionError, InfeasibleError
 from .shotdata import (BitString, ShotDataset, _key_values, _pack_bits, _parse_fields,
-                       _read_json_object, _strings_bits, _write_json_object)
+                       _read_json_object, _strings_bits, _unique_rows, _write_json_object)
 
 __all__ = [
     "NoiseSpec",
@@ -177,7 +177,7 @@ def generate_shots(
         comp = np.searchsorted(cum, component_draw[at], side="right")
         flips = (rng.random((len(at), n)) < noise.eps).view(np.uint8)
         keys[at] = solution_keys[comp] ^ _pack_bits(flips)
-    return ShotDataset._from_shot_keys(n, keys)
+    return ShotDataset._make(n, *_unique_rows(keys))
 
 
 def save_ground_truth(truth: GroundTruth, noise: NoiseSpec, path, seed=None) -> None:

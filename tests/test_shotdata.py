@@ -103,12 +103,12 @@ class TestShotDataset:
     def test_bit_matrix_round_trip(self, rng):
         mat = rng.integers(0, 2, size=(40, 17), dtype=np.uint8)
         ds = ShotDataset.from_bit_matrix(mat)
-        assert np.array_equal(ds.bit_matrix, mat)
+        assert np.array_equal(ds.bit_matrix, in_key_order(mat))
 
     def test_views_before_and_after_the_index_is_derived(self, rng):
-        # ordered shots keep their keys and search the shot index on each
-        # call; every view must equal the one numpy computes from the bit
-        # matrix, and the dataset must still equal the same shots after it
+        # every view must equal the one numpy computes from the bit matrix
+        # in key order, and the dataset must still equal the same shots
+        # after it
         from qem_mix.emcore import MixtureModel, e_step
 
         for n in (5, 70):
@@ -120,21 +120,46 @@ class TestShotDataset:
             idx = rng.choice(60, size=25, replace=False)
             alpha, eps = np.array([0.4, 0.6]), np.full(n, 0.1)
             model = MixtureModel(tuple(map(BitString.from_bits, mat[:2])), alpha, eps)
-            texts = ["".join(map(str, row)) for row in mat]
+            ordered = in_key_order(mat)
+            texts = ["".join(map(str, row)) for row in ordered]
             views = {
-                "subset": (lambda ds: ds.subset(idx).bit_matrix, mat[idx]),
+                "subset": (lambda ds: ds.subset(idx).bit_matrix, in_key_order(ordered[idx])),
                 "select_distinct": (lambda ds: ds.select_distinct(mask).bit_matrix,
-                                    mat[mask[index]]),
-                "bit_matrix": (lambda ds: ds.bit_matrix, mat),
+                                    in_key_order(mat[mask[index]])),
+                "bit_matrix": (lambda ds: ds.bit_matrix, ordered),
                 "shots": (lambda ds: [s.text for s in ds.shots], texts),
-                "e_step": (lambda ds: e_step(ds, model), posterior(mat, mat[:2], alpha, eps)),
+                "e_step": (lambda ds: e_step(ds, model),
+                           posterior(ordered, mat[:2], alpha, eps)),
             }
             for name, (view, reference) in views.items():
                 fresh = ShotDataset.from_bit_matrix(mat)
                 same = np.allclose if name == "e_step" else np.array_equal
                 assert same(view(fresh), reference), name
                 assert fresh == ShotDataset.from_bit_matrix(mat), name
-                assert fresh != ShotDataset.from_bit_matrix(mat[::-1]), name
+                assert fresh != ShotDataset.from_bit_matrix(mat[1:]), name
+
+    def test_holds_only_its_keys_and_counts(self, rng, tmp_path):
+        # whatever built it, a dataset holds no array of size S
+        from qem_mix.synth import NoiseSpec, generate_shots, sample_ground_truth
+
+        mat = rng.integers(0, 2, size=(200, 3), dtype=np.uint8)
+        ds = ShotDataset.from_bit_matrix(mat)
+        shots, counts = tmp_path / "shots.txt", tmp_path / "counts.json"
+        shots.write_text("".join("".join(map(str, row)) + "\n" for row in mat.tolist()))
+        save_counts(ds, counts)
+        truth, noise = sample_ground_truth(3, 2, 1), NoiseSpec(0.5, np.full(3, 0.1))
+        built = {
+            "BitStrings": ShotDataset(map(BitString.from_bits, mat.tolist())),
+            "from_bit_matrix": ds,
+            "load_shots_text": load_shots_text(shots),
+            "load_counts": load_counts(counts),
+            "generate_shots": generate_shots(truth, noise, 200, 2),
+            "subset": ds.subset(np.arange(0, 200, 2)),
+            "select_distinct": ds.select_distinct(np.arange(ds.distinct) % 2 == 0),
+        }
+        for name, data in built.items():
+            arrays = {k for k, v in vars(data).items() if isinstance(v, np.ndarray)}
+            assert arrays == {"keys", "key_counts"}, name
 
     def test_subset_preserves_order(self):
         ds = ShotDataset([B("00"), B("01"), B("10"), B("11")])
@@ -162,15 +187,22 @@ class TestShotDataset:
             assert ["".join(map(str, row)) for row in band.tolist()] == texts[start:stop]
 
 
+def in_key_order(mat):
+    """The rows of the S x n {0,1} matrix ``mat`` in key order, the order in
+    which a dataset of them expands its shots."""
+    rows, counts = np.unique(mat, axis=0, return_counts=True)
+    return np.repeat(rows, counts, axis=0)
+
+
 def assert_holds(ds, mat):
-    """``ds`` holds the shots of the S x n {0,1} matrix ``mat``, in its row
+    """``ds`` holds the shots of the S x n {0,1} matrix ``mat``, in key
     order: every field checked against np.unique of the rows."""
-    rows, index, counts = np.unique(mat, axis=0, return_inverse=True, return_counts=True)
+    rows, counts = np.unique(mat, axis=0, return_counts=True)
     assert (ds.n, ds.s, ds.distinct) == (mat.shape[1], len(mat), len(rows))
     assert np.array_equal(ds.distinct_bits(), rows)
     assert np.array_equal(ds.key_counts, counts)
-    assert np.array_equal(ds.shot_index(), index.reshape(-1))
-    assert np.array_equal(ds.bit_matrix, mat)
+    assert np.array_equal(ds.shot_index(), np.repeat(np.arange(len(rows)), counts))
+    assert np.array_equal(ds.bit_matrix, in_key_order(mat))
 
 
 def posterior(mat, centers, alpha, eps):
@@ -186,7 +218,8 @@ CACHED_VIEWS = {"_strings", "shots", "counts", "bit_matrix"}
 
 
 class TestShotOrderReference:
-    """Ordered datasets and count tables against numpy on their bit matrix."""
+    """Datasets of shots and count tables against numpy on their bit
+    matrix in key order."""
 
     @pytest.fixture(params=[5, 64, 65, 130])
     def n(self, request):
@@ -197,7 +230,7 @@ class TestShotOrderReference:
         """A dataset and the bit matrix it expands to."""
         mat = rng.integers(0, 2, size=(90, n), dtype=np.uint8)[rng.integers(0, 90, 240)]
         if request.param == "ordered":
-            return ShotDataset.from_bit_matrix(mat), mat
+            return ShotDataset.from_bit_matrix(mat), in_key_order(mat)
         rows, counts = np.unique(mat, axis=0, return_counts=True)
         table = ShotDataset._make(n, shotdata._pack_bits(rows), counts)
         return table, np.repeat(rows, counts, axis=0)
@@ -210,7 +243,7 @@ class TestShotOrderReference:
         idx = rng.integers(0, len(mat), size=150)  # repeats allowed
         again = rng.permutation(150)[:70]
         assert_holds(ds.subset(idx), mat[idx])
-        assert_holds(ds.subset(idx).subset(again), mat[idx][again])
+        assert_holds(ds.subset(idx).subset(again), in_key_order(mat[idx])[again])
         assert_holds(ds.subset(np.arange(len(mat))), mat)
 
     def test_select_distinct_of_dataset_and_subset(self, case, rng):
@@ -232,21 +265,21 @@ class TestShotOrderReference:
         assert np.allclose(e_step(ds, model), posterior(mat, centers, alpha, eps))
         idx = rng.permutation(len(mat))[:50]
         assert np.allclose(e_step(ds.subset(idx), model),
-                           posterior(mat[idx], centers, alpha, eps))
+                           posterior(in_key_order(mat[idx]), centers, alpha, eps))
 
     def test_equality_follows_the_bit_matrix(self, case, n):
+        # equal datasets hold the same rows, in any order
         ds, mat = case
         turned = mat[::-1]
         assert not np.array_equal(turned, mat)
         assert ds == ShotDataset.from_bit_matrix(mat)
         assert ShotDataset.from_bit_matrix(mat) == ds
-        assert ds != ShotDataset.from_bit_matrix(turned)
-        assert ds.subset(np.arange(len(mat))[::-1]) == ShotDataset.from_bit_matrix(turned)
+        assert ds == ShotDataset.from_bit_matrix(turned)
+        assert ds != ShotDataset.from_bit_matrix(mat[1:])
+        assert ds.subset(np.arange(len(mat))[::-1]) == ds
         rows, counts = np.unique(mat, axis=0, return_counts=True)
         table = ShotDataset._make(n, shotdata._pack_bits(rows), counts)
-        in_key_order = np.array_equal(mat, np.repeat(rows, counts, axis=0))
-        assert (ds == table) == in_key_order
-        assert (table == ds) == in_key_order
+        assert ds == table and table == ds
 
     def test_reading_leaves_the_dataset_unchanged(self, case, rng, n):
         # apart from its cached views, a dataset never changes once built
@@ -267,54 +300,6 @@ class TestShotOrderReference:
             after = {k: v for k, v in vars(ds).items() if k not in CACHED_VIEWS}
             assert after.keys() == before.keys(), name
             assert all(after[k] is v for k, v in before.items()), name
-
-
-class TestSelectDistinctTable:
-    """``select_distinct`` keeps ordered shots through a dense 2**n table
-    where one fits, and through ``shot_index()`` otherwise."""
-
-    @staticmethod
-    def ordered(rng, n, distinct):
-        """An ordered dataset of 3000 shots over exactly ``distinct``
-        strings of n bits, and its bit matrix."""
-        values = rng.choice(1 << n, distinct, replace=False)
-        repeats = values[rng.integers(0, distinct, 3000 - distinct)]
-        shots = rng.permutation(np.concatenate([values, repeats]))
-        mat = (shots[:, None] >> np.arange(n - 1, -1, -1)) & 1
-        return ShotDataset.from_bit_matrix(mat), mat.astype(np.uint8)
-
-    @staticmethod
-    def select(ds, mask, table: bool, monkeypatch):
-        """``ds.select_distinct(mask)``, failing if it takes the other way."""
-        def no_search(self):
-            raise AssertionError("searched shot_index() where the table fits")
-        with monkeypatch.context() as patch:
-            if table:
-                patch.setattr(ShotDataset, "shot_index", no_search)
-            return ds.select_distinct(mask)
-
-    # at n=12, U=256 is the smallest count of distinct strings the table serves
-    @pytest.mark.parametrize("distinct, table", [(256, True), (255, False)])
-    def test_both_sides_of_the_table_condition(self, rng, monkeypatch, distinct, table):
-        ds, mat = self.ordered(rng, 12, distinct)
-        assert (1 << 12 <= shotdata._TABLE_ENTRIES_PER_KEY * ds.distinct) == table
-        _, index = np.unique(mat, axis=0, return_inverse=True)
-        mask = rng.random(ds.distinct) < 0.5
-        mask[0] = True
-        assert_holds(self.select(ds, mask, table, monkeypatch), mat[mask[index.reshape(-1)]])
-
-    @pytest.mark.parametrize("n", [1, 5, 20])
-    def test_table_and_search_agree(self, rng, monkeypatch, n):
-        ds, mat = self.ordered(rng, n, min(1 << n, 700))
-        ds = ds.subset(rng.permutation(3000)[:2000])
-        mask = rng.random(ds.distinct) < 0.4
-        mask[-1] = True
-        kept = []
-        for entries in (1 << 24, 0):
-            monkeypatch.setattr(shotdata, "_TABLE_ENTRIES_PER_KEY", entries)
-            kept.append(self.select(ds, mask, entries > 0, monkeypatch))
-        assert kept[0] == kept[1]
-        assert np.array_equal(kept[0].bit_matrix, ds.bit_matrix[mask[ds.shot_index()]])
 
 
 def padded_pack_bits(bits):

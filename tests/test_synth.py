@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from qem_mix.errors import DimensionError, InfeasibleError, ParseError
-from qem_mix.shotdata import BitString
+from qem_mix.shotdata import BitString, ShotDataset
 from qem_mix.synth import (
     GroundTruth,
     NoiseSpec,
@@ -187,11 +187,10 @@ class TestGenerateShotsReference:
         noise = NoiseSpec(p=p, eps=sample_flip_probabilities(n, 200 + n))
         ds = generate_shots(truth, noise, 300, 300 + n)
         bits = reference_generate(truth, noise, 300, 300 + n)
-        rows, index, counts = np.unique(bits, axis=0, return_inverse=True, return_counts=True)
+        rows, counts = np.unique(bits, axis=0, return_counts=True)
         assert np.array_equal(ds.distinct_bits(), rows)
         assert ds.key_counts.tolist() == counts.tolist()
-        assert ds.shot_index().tolist() == index.reshape(-1).tolist()
-        assert np.array_equal(ds.bit_matrix, bits)
+        assert ds == ShotDataset.from_bit_matrix(bits)
 
 
 class TestBlockedDraws:
@@ -207,7 +206,7 @@ class TestBlockedDraws:
         truth = sample_ground_truth(n, min(2, 1 << n), 400 + n)
         noise = NoiseSpec(p=p, eps=sample_flip_probabilities(n, 500 + n))
         ds = generate_shots(truth, noise, 1001, 600 + n)
-        assert np.array_equal(ds.bit_matrix, reference_generate(truth, noise, 1001, 600 + n))
+        assert ds == ShotDataset.from_bit_matrix(reference_generate(truth, noise, 1001, 600 + n))
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
     @pytest.mark.parametrize("p", [0.0, 1.0])

@@ -97,7 +97,7 @@ def hellinger_fidelity(p: Mapping[str, float], q: Mapping[str, float]) -> float:
     _check_distribution(p, "p")
     _check_distribution(q, "q")
     overlap = sum(
-        math.sqrt(p[key] * q[key]) for key in sorted(p.keys() & q.keys())
+        (math.sqrt(p[key] * q[key]) for key in sorted(p.keys() & q.keys())), 0.0
     )
     return overlap * overlap
 

@@ -222,7 +222,7 @@ class TestRunSweep:
             )
         }
         assert digests == {
-            "rows.csv": "42417023d7f1e44ed8a0a4af0ec111e309ee1f34180e8a1e7418c81b4d94a306",
+            "rows.csv": "9bd252d80438789efabed43de2b78f663c5289bf685a3d70fb6ccc4e942c2572",
             "summary.json": "0d337adf00e32ed9a050abb84d3347435bd15c62767d83f48c1ca92fa454d2c5",
             "timings.csv keys":
                 "6ea6a9e0b072185fc7672ae082021ed569e9ccad6a5b06df639ffcfd7996c8e4",

@@ -99,6 +99,11 @@ class TestHellingerFidelity:
     def test_disjoint(self):
         assert hellinger_fidelity({"00": 1.0}, {"11": 1.0}) == 0.0
 
+    def test_disjoint_is_the_float_zero(self):
+        # rows.csv writes the value as it is: an int 0 would read "0"
+        got = hellinger_fidelity({"00": 1.0}, {"11": 1.0})
+        assert type(got) is float and got == 0.0
+
     def test_half_overlap(self):
         got = hellinger_fidelity({"0": 0.5, "1": 0.5}, {"0": 1.0})
         assert got == pytest.approx(0.5)

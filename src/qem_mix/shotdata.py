@@ -319,8 +319,7 @@ def load_counts(path, fh=None) -> ShotDataset:
     """Read a dataset from a JSON count table {bitstring: count}.
 
     The table is validated, packed and sorted without expanding the counts,
-    so memory grows with the number of distinct strings, not with S,
-    whatever the file's key order.
+    so memory grows with the number of distinct strings, not with S.
     ``fh``, if given, is the file opened as a binary stream at its start.
 
     A file in the exact byte form ``save_counts`` writes is parsed with

@@ -13,7 +13,9 @@ apart, every radius-1 support is just the string's own count, and the
 radius-1 filter can only keep everything or nothing. When it keeps nothing
 there, ``filter_dataset`` widens the radius by a rule fixed by S, n, eta and
 t_floor (``select_radius``): the widest r before the first one at which
-uniform noise is expected to leave at least one survivor.
+uniform noise is expected to leave at least one survivor. Supports counted
+against a reference of S_R shots take the same rule with S_R in place of S
+in the noise rate and the threshold scaled by S_R/S (``_scan_radius``).
 
 Both passes run on the dataset's sorted packed keys and their counts.
 Radius-1 counting on keys of n <= 64 bits, where 2**n is at most
@@ -21,13 +23,15 @@ Radius-1 counting on keys of n <= 64 bits, where 2**n is at most
 counts into a dense 2**n table and gathers each key's n neighbours with
 one XOR per bit: O(2**n + n * U). Otherwise it sets each clear bit of
 every key and looks the result up by binary search over the sorted keys:
-O(n * U log U). Wider radii compare all pairs of distinct strings with
-Gram products over cache-sized tiles of the upper triangle: O(U**2 * n)
+O(n * U log U). Wider radii compare every distinct string with a reference
+R of them, using Gram products over cache-sized tiles: O(U * M' * n)
 arithmetic in bounded memory, spread over the process's CPUs by threads.
-Each float32 Gram entry answers D pairs at once, in D bit fields of one
-exact integer (D = 3 at n=128, r=31; see ``_support_within``), so the
-pass computes about U**2 / (2 * D) entries and holds the strings as
-U/D packed rows.
+R is every string while U is at most ``_REFERENCE_STRINGS`` (M), and the
+supports are then exact; otherwise R is every ceil(U/M)-th string in key
+order, and each support is estimated from R's shots, scaled up to S (see
+``_support_within``). Each float32 Gram entry answers D pairs at once, in
+D bit fields of one exact integer (D = 3 at n=128, r=31), so the pass
+computes U * ceil(M'/D) entries and holds R as M'/D packed rows.
 The thread count is worked out from the process (``_gram_threads``): one in
 a ``multiprocessing`` child, else the CPUs it may use divided by the threads
 BLAS was told to use, so processes x threads stays within the CPUs. Shots
@@ -70,6 +74,12 @@ _TABLE_ENTRIES_PER_KEY = 16
 # 1; at radius r > 1 each of a worker's two Gram tile buffers holds a
 # quarter as many (1 MiB of float32 each).
 _BLOCK_ENTRIES = 1 << 20
+# The widened pass counts support against every string while there are at
+# most this many distinct strings, else against every ceil(U/M)-th one.
+# 2048 keeps the widened golden inputs (U = 2000) exact; 4096 cost about
+# twice as much at n=128, S=2*10**4 and dropped one string from one kept
+# set; 1024 also passed criterion 1 but would move those inputs' outputs.
+_REFERENCE_STRINGS = 2048
 
 
 @dataclass(frozen=True)
@@ -100,7 +110,10 @@ class FilterReport:
 
     ``lam`` is the expected uniform frequency S/2**n; ``support`` holds
     f_r(x) at the ``radius`` the pass used (1 unless the radius was
-    widened), aligned with the keys of the dataset filtered.
+    widened), aligned with the keys of the dataset filtered. It is int64,
+    except after a widened pass over more than ``_REFERENCE_STRINGS``
+    distinct strings: it then holds the float64 estimates of f_r counted
+    against a reference of them (see ``_support_within``).
     """
 
     kept: ShotDataset
@@ -226,13 +239,21 @@ def _signs(dataset: ShotDataset, lo: int, hi: int, out: np.ndarray) -> np.ndarra
     return z
 
 
-def _support_within(dataset: ShotDataset, radius: int, threads: int) -> np.ndarray:
-    """Radius-r support by tiled Gram products, D string pairs per entry.
+def _support_within(dataset: ShotDataset, radius: int, threads: int,
+                    step: int = 1) -> np.ndarray:
+    """Radius-r support by tiled Gram products, D string pairs per entry,
+    counted against the reference R of every ``step``-th distinct string.
+
+    With ``step`` 1, R is every string and the result is f_r as int64.
+    Otherwise it is the float64 estimate
+    f(x) = c(x) + N(x) * (S - c(x)) / (S_R - c_R(x)), where N(x) counts the
+    shots of the strings y != x of R within distance r of x, S_R is R's
+    shot count, and c_R(x) is c(x) if x is in R, else 0.
 
     With bits mapped to +-1, z_i . z_j / 2 = h - n/2, where h = n - d(i, j)
     is the number of bits the two strings share. An odd n gains one bit
     that every string shares, so n is even and h - n/2 an integer. The
-    distinct strings, padded to a multiple of D with all-zero strings of
+    strings of R, padded to a multiple of D with all-zero strings of
     count 0, are packed D to a column: P[g] = sum_t 2**(w*t) * z[g*D+t] / 2.
     One product z_i . P[g], plus a constant, then holds in its field t
     (bits w*t .. w*t+w-1) the value h + 2**(w-1) - (n - r) for the pair
@@ -242,65 +263,64 @@ def _support_within(dataset: ShotDataset, radius: int, threads: int) -> np.ndarr
     computes each entry exactly in any summation order; when S exceeds
     2**24, or no field fits float32, the pass runs in float64 and int64.
 
-    The upper triangle is cut into tiles of ``side`` = isqrt(_BLOCK_ENTRIES
-    / 4) (512) rows by as many packed columns. Row bands of tiles are
-    handed out in order to ``threads`` workers (the count ``_gram_threads``
-    gives), and numpy releases the GIL inside each product. A worker signs
-    its band's rows from the keys when it takes the band, so only P, about
-    U/D x n floats, spans the strings. Each tile is converted to integers
-    once, and only rows whose entries, OR-ed together, set some field's top
-    bit are decoded. For each field, its top bits credit their rows with
-    the columns' counts, from the band's first string on, and their
-    columns with the rows' counts, past the band's last string, each by
-    one matrix-vector product. Each worker reuses two tile buffers (1 MiB
-    of float32 each) and its band's signs (side x n floats), and keeps
-    float64 partial supports (U entries for rows, U for columns); the
-    partials are summed in worker order. The buffers come from the calling
-    thread, so their memory is returned when the pass ends (what a worker
-    thread allocates stays with the process), and the tile's size sets how
-    often the workers hand each other the GIL. All values are exact
-    integers, so the result does not depend on which worker took which
-    band. Each pass logs one debug line: the radius, U, pairs compared,
-    Gram entries computed, D, rows decoded, threads and seconds.
+    The U x ceil(M'/D) product, M' the strings of R, is cut into tiles of
+    ``side`` = isqrt(_BLOCK_ENTRIES / 4) (512) rows by as many packed
+    columns. Row bands of tiles are handed out in order to ``threads``
+    workers (the count ``_gram_threads`` gives), and numpy releases the GIL
+    inside each product. A worker signs its band's rows from the keys when
+    it takes the band, so only P, about M'/D x n floats, spans the strings.
+    Each tile is converted to integers once, and only rows whose entries,
+    OR-ed together, set some field's top bit are decoded. For each field,
+    its top bits credit their rows with the columns' counts by one
+    matrix-vector product, and each band's rows are credited by the one
+    worker that took it. Each worker reuses two tile buffers (1 MiB of
+    float32 each) and its band's signs (side x n floats). The buffers come
+    from the calling thread, so their memory is returned when the pass ends
+    (what a worker thread allocates stays with the process), and the
+    tile's size sets how often the workers hand each other the GIL. All
+    credits are exact integers, so the result does not depend on which
+    worker took which band. Each pass logs one debug line: the radius, U,
+    pairs compared (those with an end in R), Gram entries computed, D, rows
+    decoded, R's strings and shots, threads and seconds.
     """
     u, start = dataset.distinct, time.perf_counter()
+    reference = dataset if step == 1 else dataset.select_distinct(np.arange(u) % step == 0)
+    m = reference.distinct
     n = dataset.n + dataset.n % 2
     (w, per), dtype, itype = _packing(n, radius, 24), np.float32, np.int32
     if dataset.s > 1 << 24 or not per:
         (w, per), dtype, itype = _packing(n, radius, 53), np.float64, np.int64
-    groups, side = -(-u // per), max(1, math.isqrt(_BLOCK_ENTRIES // 4))
+    groups, side = -(-m // per), max(1, math.isqrt(_BLOCK_ENTRIES // 4))
     tops = [1 << (w * t + w - 1) for t in range(per)]  # each field's top bit
     hits = sum(tops)
     offset = (2 ** (w - 1) - n // 2 + radius) * sum(1 << w * t for t in range(per))
     cnt = np.zeros(groups * per, dtype=dtype)
-    cnt[:u] = dataset.key_counts
+    cnt[:m] = reference.key_counts
     field_cnt = cnt.reshape(groups, per).T.copy()  # row t: the counts of field t
     packed = np.empty((groups, n), dtype=dtype)
     z = np.empty((side * per, n), dtype=dtype)
     for g in range(0, groups, side):
         end = min(g + side, groups)
-        signs = _signs(dataset, g * per, end * per, z)
+        signs = _signs(reference, g * per, end * per, z)
         block = np.multiply(signs[0::per], 0.5, out=packed[g:end])
         for t in range(1, per):
             block += signs[t::per] * 2.0 ** (w * t - 1)
     del z
+    near = np.zeros(u, dtype=np.float64)  # shots of R within r, own included
     bands = iter(range(0, u, side))
     lock = threading.Lock()
 
     def work(z: np.ndarray, tile_buf: np.ndarray, field_buf: np.ndarray) -> tuple:
-        rows = np.zeros(u, dtype=np.float64)
-        cols = np.zeros((per, groups), dtype=np.float64)
         entries = decoded = 0
         while True:
             with lock:
                 a = next(bands, None)
             if a is None:
-                return rows, cols, entries, decoded
-            b = min(a + side, u)
-            signs = _signs(dataset, a, b, z)
-            for g0 in range(a // per, groups, side):
+                return entries, decoded
+            signs = _signs(dataset, a, min(a + side, u), z)
+            for g0 in range(0, groups, side):
                 g1 = min(g0 + side, groups)
-                size, shape = (b - a) * (g1 - g0), (b - a, g1 - g0)
+                size, shape = len(signs) * (g1 - g0), (len(signs), g1 - g0)
                 tile = np.matmul(signs, packed[g0:g1].T, out=tile_buf[:size].reshape(shape))
                 fields = field_buf[:size].reshape(shape)
                 np.add(tile, offset, out=fields, casting="unsafe")
@@ -317,14 +337,11 @@ def _support_within(dataset: ShotDataset, radius: int, threads: int) -> np.ndarr
                     bit = field_buf.view(dtype)[:size].reshape(shape)
                 else:
                     bit = tile
-                row_cnt, credit = cnt[a + hit], np.zeros(len(hit), dtype=dtype)
+                credit = np.zeros(len(hit), dtype=dtype)
                 for t, top in enumerate(tops):
                     np.bitwise_and(fields, top, out=bit, casting="unsafe")
-                    lo = max(0, -(-(a - t) // per) - g0)  # first column at or after a
-                    credit += bit[:, lo:] @ field_cnt[t, g0 + lo:g1] / top
-                    lo = max(0, -(-(b - t) // per) - g0)  # first column after the band
-                    cols[t, g0 + lo:g1] += row_cnt @ bit[:, lo:] / top
-                rows[a + hit] += credit
+                    credit += bit @ field_cnt[t, g0:g1] / top
+                near[a + hit] += credit
 
     from concurrent.futures import ThreadPoolExecutor  # loaded by the radius-r pass alone
 
@@ -335,12 +352,16 @@ def _support_within(dataset: ShotDataset, radius: int, threads: int) -> np.ndarr
                                np.empty(side * side, dtype=itype))
                    for _ in range(workers)]
         parts = [future.result() for future in futures]
-    support = sum(r + c.T.reshape(-1)[:u] for r, c, _, _ in parts)
     log.debug("radius %d support: U=%d, %d pairs compared on %d Gram entries of %d pairs, "
-              "%d rows decoded, %d thread(s) in %.3f s", radius, u, u * (u - 1) // 2,
-              sum(p[2] for p in parts), per, sum(p[3] for p in parts), threads,
-              time.perf_counter() - start)
-    return support.astype(np.int64)
+              "%d rows decoded, reference of %d strings and %d shots, %d thread(s) in %.3f s",
+              radius, u, m * (m - 1) // 2 + (u - m) * m, sum(p[0] for p in parts), per,
+              sum(p[1] for p in parts), m, reference.s, threads, time.perf_counter() - start)
+    if step == 1:
+        return near.astype(np.int64)
+    c = dataset.key_counts.astype(np.float64)
+    c_ref = np.zeros(u)
+    c_ref[::step] = c[::step]
+    return c + (near - c_ref) * (dataset.s - c) / (reference.s - c_ref)
 
 
 def _ball(n: int, radius: int) -> int:
@@ -413,11 +434,22 @@ def select_radius(s: int, n: int, config: Optional[FilterConfig] = None) -> int:
     config = config or FilterConfig()
     if s < 1 or n < 1:
         raise ValueError(f"need s >= 1 and n >= 1, got s={s}, n={n}")
+    return _scan_radius(s, n, config, s)
+
+
+def _scan_radius(s: int, n: int, config: FilterConfig, s_ref: int) -> int:
+    """``select_radius``'s scan for supports counted against a reference of
+    ``s_ref`` of the S shots (see ``_support_within``): a noise string is
+    kept when its reference neighbours reach ceil((T_r - 1) * S_R / S), so
+    the expected survivors are S * P[Poisson(S_R*|B_n(r)|/2**n) >= that].
+    With S_R = S this is ``select_radius``'s rule, computed exactly."""
     ball, full = 1, 1 << n
     for r in range(1, n + 1):
         ball += math.comb(n, r)
         t = _threshold(s, n, config, r, ball)
-        if s * _poisson_tail(math.ceil(t) - 1, s * ball / full) >= 1:
+        p, q = t.as_integer_ratio()
+        need = -((q - p) * s_ref // (q * s))  # ceil((t - 1) * s_ref / s), exactly
+        if s * _poisson_tail(need, s_ref * ball / full) >= 1:
             return max(1, r - 1)
     return n
 
@@ -440,7 +472,11 @@ def filter_dataset(
     the radius-1 pass keeps no shot, and no two observed strings are at
     distance 1 (every radius-1 support equals the string's own count). Then
     the pass is redone at ``select_radius(S, n, config)``, unless its T_r
-    exceeds S: no support can reach it, and the pass is skipped.
+    exceeds S: no support can reach it, and the pass is skipped. With more
+    than ``_REFERENCE_STRINGS`` distinct strings, the redone pass estimates
+    each support from every ceil(U/M)-th string (never above S), at the
+    radius ``_scan_radius`` picks for that reference's shots, with T_r
+    still computed from S; below that count it is exact, as at radius 1.
 
     Multiplicity is preserved. Pass ``threshold`` to reuse
     an absolute T (e.g. a previous report's threshold_used) at radius 1:
@@ -458,11 +494,14 @@ def filter_dataset(
     keep = support >= t
     if not keep.any() and threshold is None and np.array_equal(support, dataset.key_counts):
         radius = select_radius(s, n, config)
-        if radius > 1:
+        t = compute_threshold(s, n, config, radius)
+        step = -(-dataset.distinct // _REFERENCE_STRINGS)
+        if t <= s and step > 1:
+            radius = _scan_radius(s, n, config, int(dataset.key_counts[::step].sum()))
             t = compute_threshold(s, n, config, radius)
-            if t <= s:  # no support exceeds S, so a higher T keeps nothing
-                support = _support(dataset, radius)
-                keep = support >= t
+        if radius > 1 and t <= s:  # no support exceeds S, so a higher T keeps nothing
+            support = _support_within(dataset, radius, _gram_threads(), step)
+            keep = support >= t
     if not keep.any():
         raise AllFilteredError(
             f"threshold {t:g} at Hamming radius {radius} removed all {s} shots; "

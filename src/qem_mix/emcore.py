@@ -179,7 +179,11 @@ def _loglik_matrix(yf: np.ndarray, xb: np.ndarray, eps: np.ndarray) -> np.ndarra
 
 def _softmax_rows(a: np.ndarray):
     """Row-normalize exp(a) stably; returns (weights, row log-sum-exp)."""
-    m = a.max(axis=1)
+    # a running maximum over the K columns: the bits of a.max(axis=1),
+    # which numpy reduces slowly over rows this short
+    m = a[:, 0].copy()
+    for k in range(1, a.shape[1]):
+        np.maximum(m, a[:, k], out=m)
     shifted = a - m[:, None]
     np.exp(shifted, out=shifted)
     rowsum = shifted.sum(axis=1)

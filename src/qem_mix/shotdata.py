@@ -363,8 +363,9 @@ def _parse_count_table(path, table: dict) -> ShotDataset:
 # 10**18 - 1 < 2**63: a count of at most this many digits fits an int64
 _MAX_DIGITS = 18
 # file bytes per read of the canonical counts reader: each block's
-# temporaries stay in cache
-_SCAN_BLOCK = 1 << 18
+# temporaries stay in cache, and below glibc's default 128 KiB mmap
+# threshold, so the heap reuses them from block to block
+_SCAN_BLOCK = 1 << 16
 
 
 def _records(fh, end: int):

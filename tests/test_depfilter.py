@@ -648,3 +648,85 @@ class TestRadiusWidening:
         assert report.kept.s > 150
         for x in report.kept.counts:
             assert min(hamming_distance(x, c) for c in truth.solutions) <= 24
+
+
+def _reference_filter(ds, config, m):
+    """filter_dataset's widened pass restated from its definition, with a
+    reference R of every ceil(U/m)-th distinct string: (radius, T, N,
+    support, kept). The radius is the last before S * P[Poisson(S_R*|B_n(r)|/2**n)
+    >= ceil((T_r - 1) * S_R / S)] reaches 1, with scipy's Poisson tail, and
+    the support of x is c(x) + N(x) * (S - c(x)) / (S_R - c_R(x)), with
+    N(x) the shots of the strings y != x of R within the radius of x."""
+    from scipy.stats import poisson
+
+    s, n, u = ds.s, ds.n, ds.distinct
+    assert compute_threshold(s, n, config, _rule_with_scipy(s, n, config)) <= s
+    ref = np.flatnonzero(np.arange(u) % -(-u // m) == 0)
+    c = ds.key_counts.astype(np.float64)
+    c_ref = np.zeros(u)
+    c_ref[ref] = c[ref]
+    s_ref = int(c_ref.sum())
+    radius = n
+    for r in range(1, n + 1):
+        t = compute_threshold(s, n, config, r)
+        ball = sum(math.comb(n, i) for i in range(r + 1))
+        if s * poisson.sf(math.ceil((t - 1) * s_ref / s) - 1, s_ref * ball / 2**n) >= 1:
+            radius = max(1, r - 1)
+            break
+    t = compute_threshold(s, n, config, radius)
+    bits = ds.distinct_bits()
+    dist = (bits[:, None, :] != bits[None, ref, :]).sum(axis=2)
+    near = ((dist <= radius) & (np.arange(u)[:, None] != ref[None, :])) @ c[ref]
+    support = c + near * (s - c) / (s_ref - c_ref)
+    return radius, t, near, support, ds.select_distinct(support >= t)
+
+
+class TestReferencePass:
+    @pytest.fixture
+    def dataset(self, rng, monkeypatch):
+        """The 43 strings of a clustered n=128 dataset, 52 shots, no two
+        within distance 2, with a reference of every 6th string (8)."""
+        monkeypatch.setattr(depfilter, "_REFERENCE_STRINGS", 8)
+        ds = _clustered_dataset(rng, 128, u=40)
+        assert (ds.distinct, ds.s, ds.key_counts.max()) == (43, 52, 2)
+        return ds
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("t_floor", [2, 8])
+    def test_filter_matches_the_definition(self, dataset, monkeypatch, threads, t_floor):
+        # tiles of 2 rows by 2 packed columns; at t_floor 2 every string
+        # appears once, so that radius 1 keeps nothing; at t_floor 8 the
+        # scale (S - c) / (S_R - c_R), not the reference's own shots,
+        # decides what is kept
+        pytest.importorskip("scipy")
+        monkeypatch.setattr(depfilter, "_BLOCK_ENTRIES", 4 * 2 * 2)
+        monkeypatch.setattr(depfilter, "_gram_threads", lambda: threads)
+        ds = dataset
+        if t_floor == 2:
+            ds = ShotDataset.from_bit_matrix(ds.distinct_bits())
+        config = FilterConfig(t_floor=t_floor)
+        radius, t, near, support, kept = _reference_filter(ds, config, 8)
+        report = filter_dataset(ds, config)
+        assert (report.radius, report.threshold_used) == (radius, t)
+        assert report.support.dtype == np.float64
+        np.testing.assert_array_equal(report.support, support)
+        assert report.kept == kept and 0 < kept.distinct < ds.distinct
+        if t_floor == 8:
+            assert radius != select_radius(ds.s, ds.n, config)
+            assert (ds.key_counts + near >= t).sum() < kept.distinct
+
+    def test_support_counts_stay_exact(self, dataset):
+        expected = _brute_support(dataset, (20, 40, 60))
+        for r in expected:
+            assert support_counts(dataset, r) == dict(zip(dataset.counts, expected[r].tolist()))
+
+    def test_debug_line_names_the_reference(self, dataset, caplog):
+        ds = ShotDataset.from_bit_matrix(dataset.distinct_bits())
+        with caplog.at_level(logging.DEBUG, logger="qem_mix"):
+            report = filter_dataset(ds, FilterConfig(t_floor=2))
+        per = depfilter._packing(128, report.radius, 24)[1]
+        message = caplog.records[0].getMessage()
+        assert message.startswith(f"radius {report.radius} support: U=43, "
+                                  f"{8 * 7 // 2 + 35 * 8} pairs compared on "
+                                  f"{43 * -(-8 // per)} Gram entries of {per} pairs, ")
+        assert ", reference of 8 strings and 8 shots, " in message

@@ -1,7 +1,8 @@
 """qem-mix command line: generate | filter | mitigate | evaluate | sweep.
 
 Exit codes: 0 success, otherwise the ``exit_code`` of the error that ended
-the command (see ``errors``); usage errors exit 1 and unreadable files 2.
+the command (see ``errors``); usage errors and allocations that cannot be
+met exit 1, unreadable files 2.
 Diagnostics go to stderr; data goes to files or stdout.
 """
 
@@ -325,9 +326,10 @@ def dispatch(argv) -> int:
 
     try:
         return int(args.func(args) or 0)
-    except (QemError, _UsageError, OSError) as exc:
+    except (QemError, _UsageError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return getattr(exc, "exit_code", 2)  # an unreadable file (OSError) exits 2
+        # an unreadable file (OSError) exits 2; an allocation that cannot be met, 1
+        return getattr(exc, "exit_code", 2 if isinstance(exc, OSError) else 1)
 
 
 def main() -> None:

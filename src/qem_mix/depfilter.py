@@ -429,29 +429,35 @@ def select_radius(s: int, n: int, config: Optional[FilterConfig] = None) -> int:
     own shot supplies the remaining 1 of T_r). Returns 1 when r = 1 already
     reaches it and n when no radius does. The scan stops at the first
     violation because once eta*lam*|B| outgrows t_floor the expectation
-    falls below 1 again at radii far too wide to separate anything.
+    falls below 1 again at radii far too wide to separate anything. The
+    scan is ``_scan_radius`` at S_R = S.
     """
     config = config or FilterConfig()
     if s < 1 or n < 1:
         raise ValueError(f"need s >= 1 and n >= 1, got s={s}, n={n}")
-    return _scan_radius(s, n, config, s)
+    return _scan_radius(s, n, config, s)[0]
 
 
-def _scan_radius(s: int, n: int, config: FilterConfig, s_ref: int) -> int:
-    """``select_radius``'s scan for supports counted against a reference of
-    ``s_ref`` of the S shots (see ``_support_within``): a noise string is
-    kept when its reference neighbours reach ceil((T_r - 1) * S_R / S), so
-    the expected survivors are S * P[Poisson(S_R*|B_n(r)|/2**n) >= that].
-    With S_R = S this is ``select_radius``'s rule, computed exactly."""
-    ball, full = 1, 1 << n
+def _scan_radius(s: int, n: int, config: FilterConfig, s_ref: int) -> tuple:
+    """(radius, T_r) of ``select_radius``'s scan for supports counted
+    against a reference of ``s_ref`` of the S shots (see
+    ``_support_within``): a noise string is kept when its reference
+    neighbours reach ceil((T_r - 1) * S_R / S), so the expected survivors
+    are S * P[Poisson(S_R*|B_n(r)|/2**n) >= that]. With S_R = S this is
+    ``select_radius``'s rule, computed exactly. |B_n(r)| grows by one exact
+    step per radius, C(n, r) = C(n, r-1) * (n-r+1) / r: O(n**2) word
+    operations in all."""
+    ball, comb, full, last = 1, 1, 1 << n, None
     for r in range(1, n + 1):
-        ball += math.comb(n, r)
+        comb = comb * (n - r + 1) // r
+        ball += comb
         t = _threshold(s, n, config, r, ball)
         p, q = t.as_integer_ratio()
         need = -((q - p) * s_ref // (q * s))  # ceil((t - 1) * s_ref / s), exactly
         if s * _poisson_tail(need, s_ref * ball / full) >= 1:
-            return max(1, r - 1)
-    return n
+            return last or (1, t)
+        last = r, t
+    return last
 
 
 def check_threshold(threshold: Optional[float]) -> None:
@@ -475,8 +481,8 @@ def filter_dataset(
     exceeds S: no support can reach it, and the pass is skipped. With more
     than ``_REFERENCE_STRINGS`` distinct strings, the redone pass estimates
     each support from every ceil(U/M)-th string (never above S), at the
-    radius ``_scan_radius`` picks for that reference's shots, with T_r
-    still computed from S; below that count it is exact, as at radius 1.
+    radius and T_r (still computed from S) that ``_scan_radius`` picks for
+    that reference's shots; below that count it is exact, as at radius 1.
 
     Multiplicity is preserved. Pass ``threshold`` to reuse
     an absolute T (e.g. a previous report's threshold_used) at radius 1:
@@ -493,12 +499,10 @@ def filter_dataset(
     support = _support(dataset, 1)
     keep = support >= t
     if not keep.any() and threshold is None and np.array_equal(support, dataset.key_counts):
-        radius = select_radius(s, n, config)
-        t = compute_threshold(s, n, config, radius)
+        radius, t = _scan_radius(s, n, config, s)
         step = -(-dataset.distinct // _REFERENCE_STRINGS)
         if t <= s and step > 1:
-            radius = _scan_radius(s, n, config, int(dataset.key_counts[::step].sum()))
-            t = compute_threshold(s, n, config, radius)
+            radius, t = _scan_radius(s, n, config, int(dataset.key_counts[::step].sum()))
         if radius > 1 and t <= s:  # no support exceeds S, so a higher T keeps nothing
             support = _support_within(dataset, radius, _gram_threads(), step)
             keep = support >= t

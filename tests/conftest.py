@@ -109,6 +109,15 @@ def random_dataset(rng, n: int, s: int) -> ShotDataset:
     return ShotDataset.from_bit_matrix(rng.integers(0, 2, size=(s, n), dtype=np.uint8))
 
 
+def walsh_dataset(n: int, u: int) -> ShotDataset:
+    """One shot each of the first u rows of the Walsh-Hadamard code of
+    length n (a power of two, u <= n): bit i of row j is the parity of
+    i & j, so every two of the strings are exactly n/2 bits apart."""
+    i, j = np.arange(n), np.arange(u)[:, None]
+    ones = sum((i & j) >> b & 1 for b in range(n.bit_length()))
+    return ShotDataset.from_bit_matrix((ones & 1).astype(np.uint8))
+
+
 def random_model_parts(rng, n: int, k: int):
     """Distinct centers, a random weight vector, and eps in (0.05, 0.45).
 

@@ -2,22 +2,32 @@ import builtins
 import hashlib
 import json
 import os
+import resource
+import subprocess
 import sys
+import time
 import weakref
 
 import pytest
 
 from qem_mix import cli, depfilter, harness
 from qem_mix.cli import dispatch
-from qem_mix.shotdata import load_counts
+from qem_mix.shotdata import load_counts, save_counts
 
-from conftest import PEAK, run_python
+from conftest import PEAK, SRC, run_python, walsh_dataset
 
 
 def run(capsys, *argv):
     code = dispatch(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli(*argv, **kwargs) -> subprocess.CompletedProcess:
+    """``qem-mix argv`` in a fresh interpreter that imports this qem_mix."""
+    return subprocess.run([sys.executable, "-m", "qem_mix.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1"),
+                          capture_output=True, text=True, timeout=120, **kwargs)
 
 
 class TestHelpAndUsage:
@@ -83,6 +93,37 @@ class TestExitCodes:
         assert len(errors) == 1 and field in errors[0]
         assert "Traceback" not in err
         assert not model.exists()
+
+    def test_allocation_that_cannot_be_met_exit_1(self, tmp_path):
+        # 10**12 shots under a 2 GiB address-space limit set in the child only
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        out = tmp_path / "x.json"
+        done = run_cli("generate", "--n", "20", "--k", "2", "--s", str(10**12), "--seed", "1",
+                       "--out", str(out), preexec_fn=limit)
+        assert done.returncode == 1
+        errors = [line for line in done.stderr.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "Traceback" not in done.stderr
+        assert not out.exists()
+
+    def test_widest_register_exit_3_fast(self, tmp_path):
+        # 10 n=16,384 strings 8,192 bits apart: the filter widens to r=8043
+        # and keeps nothing, and EM on the unfiltered shots fails its mass
+        # floor
+        path = str(tmp_path / "wide.json")
+        save_counts(walsh_dataset(16384, 10), path)
+        start = time.perf_counter()
+        done = run_cli("--log-level", "debug", "mitigate", path, "--seed", "5")
+        assert time.perf_counter() - start < 10
+        assert done.returncode == 3
+        lines = done.stderr.splitlines()
+        assert [line for line in lines if line.startswith("error:")] == \
+            ["error: all 1 components fell below the n/2 mass floor"]
+        assert any(line.startswith("DEBUG qem_mix.depfilter: radius 8043 support: U=10, ")
+                   for line in lines)
+        assert "WARNING qem_mix.harness: filter would remove all 10 shots; " \
+               "running EM unfiltered" in lines
 
     def test_all_filtered_exit_3(self, capsys, tmp_path):
         shots = tmp_path / "shots.txt"

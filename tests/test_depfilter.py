@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import sys
 import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -21,7 +22,7 @@ from qem_mix.errors import AllFilteredError
 from qem_mix.shotdata import BitString, ShotDataset, hamming_distance
 from qem_mix.synth import NoiseSpec, generate_shots, sample_ground_truth
 
-from conftest import naive_support_counts, random_dataset
+from conftest import naive_support_counts, random_dataset, walsh_dataset
 
 B = BitString.from_text
 
@@ -458,6 +459,28 @@ class TestSelectRadius:
     def test_dense_register_stays_at_one(self):
         assert select_radius(10000, 12, FilterConfig(eta=1.5, t_floor=2)) == 1
 
+    @pytest.mark.parametrize("s, n, t_floor", [
+        (1, 1, 2), (3, 2, 2), (10000, 12, 2), (300, 63, 2), (300, 64, 2), (4, 65, 2),
+        (3000, 70, 65), (20, 4096, 2),
+    ])
+    def test_scan_returns_the_radius_and_its_threshold(self, s, n, t_floor):
+        # (10000, 12) stops at radius 1, (3000, 70) runs out to radius n
+        config = FilterConfig(t_floor=t_floor)
+        radius = select_radius(s, n, config)
+        assert depfilter._scan_radius(s, n, config, s) == \
+            (radius, compute_threshold(s, n, config, radius))
+
+    def test_reference_scan_matches_the_definition(self):
+        pytest.importorskip("scipy")
+        config = FilterConfig()
+        for s, n, s_ref in [(20000, 128, 2000), (52, 128, 8)]:
+            scan = depfilter._scan_radius(s, n, config, s_ref)
+            assert scan == _reference_scan(s, n, config, s_ref)
+            assert scan[0] != select_radius(s, n, config)
+
+    def test_wide_register_radius(self):
+        assert select_radius(10, 16384, FilterConfig()) == 8043
+
 
 class TestFilterDataset:
     def test_identical_strings_all_kept(self):
@@ -638,6 +661,18 @@ class TestRadiusWidening:
         with pytest.raises(AllFilteredError, match=r"radius 25 .*eta"):
             filter_dataset(ds, FilterConfig(eta=1.5, t_floor=2))
 
+    def test_widest_register_fails_fast(self):
+        # 10 n=16,384 strings 8,192 bits apart: the radius scan runs out to
+        # r=8043, and neither it nor the threshold may rebuild the ball per
+        # radius
+        ds = walsh_dataset(16384, 10)
+        assert ds.distinct == 10
+        start = time.perf_counter()
+        with pytest.raises(AllFilteredError, match=r"^threshold 2 at Hamming radius 8043 "
+                                                   r"removed all 10 shots; lower eta"):
+            filter_dataset(ds)
+        assert time.perf_counter() - start < 10
+
     def test_wide_register_drops_the_junk(self):
         # n=64, half the shots uniform: every kept string lies near a true
         # solution (clean shots sit ~13 bits from theirs, junk ~32 bits)
@@ -650,22 +685,13 @@ class TestRadiusWidening:
             assert min(hamming_distance(x, c) for c in truth.solutions) <= 24
 
 
-def _reference_filter(ds, config, m):
-    """filter_dataset's widened pass restated from its definition, with a
-    reference R of every ceil(U/m)-th distinct string: (radius, T, N,
-    support, kept). The radius is the last before S * P[Poisson(S_R*|B_n(r)|/2**n)
-    >= ceil((T_r - 1) * S_R / S)] reaches 1, with scipy's Poisson tail, and
-    the support of x is c(x) + N(x) * (S - c(x)) / (S_R - c_R(x)), with
-    N(x) the shots of the strings y != x of R within the radius of x."""
+def _reference_scan(s, n, config, s_ref):
+    """(radius, T_r) for a reference of S_R = s_ref shots, restated from the
+    definition: the radius is the last before
+    S * P[Poisson(S_R*|B_n(r)|/2**n) >= ceil((T_r - 1) * S_R / S)] reaches
+    1, with scipy's Poisson tail."""
     from scipy.stats import poisson
 
-    s, n, u = ds.s, ds.n, ds.distinct
-    assert compute_threshold(s, n, config, _rule_with_scipy(s, n, config)) <= s
-    ref = np.flatnonzero(np.arange(u) % -(-u // m) == 0)
-    c = ds.key_counts.astype(np.float64)
-    c_ref = np.zeros(u)
-    c_ref[ref] = c[ref]
-    s_ref = int(c_ref.sum())
     radius = n
     for r in range(1, n + 1):
         t = compute_threshold(s, n, config, r)
@@ -673,7 +699,23 @@ def _reference_filter(ds, config, m):
         if s * poisson.sf(math.ceil((t - 1) * s_ref / s) - 1, s_ref * ball / 2**n) >= 1:
             radius = max(1, r - 1)
             break
-    t = compute_threshold(s, n, config, radius)
+    return radius, compute_threshold(s, n, config, radius)
+
+
+def _reference_filter(ds, config, m):
+    """filter_dataset's widened pass restated from its definition, with a
+    reference R of every ceil(U/m)-th distinct string: (radius, T, N,
+    support, kept). The radius and T come from ``_reference_scan`` at R's
+    shots, and the support of x is c(x) + N(x) * (S - c(x)) / (S_R - c_R(x)),
+    with N(x) the shots of the strings y != x of R within the radius of x."""
+    s, n, u = ds.s, ds.n, ds.distinct
+    assert compute_threshold(s, n, config, _rule_with_scipy(s, n, config)) <= s
+    ref = np.flatnonzero(np.arange(u) % -(-u // m) == 0)
+    c = ds.key_counts.astype(np.float64)
+    c_ref = np.zeros(u)
+    c_ref[ref] = c[ref]
+    s_ref = int(c_ref.sum())
+    radius, t = _reference_scan(s, n, config, s_ref)
     bits = ds.distinct_bits()
     dist = (bits[:, None, :] != bits[None, ref, :]).sum(axis=2)
     near = ((dist <= radius) & (np.arange(u)[:, None] != ref[None, :])) @ c[ref]

@@ -134,13 +134,14 @@ def support_counts(dataset: ShotDataset, radius: int = 1) -> dict:
     """
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
-    return dict(zip(dataset.counts, _support(dataset, radius).tolist()))
+    f = _support(dataset) if radius == 1 else _support_within(dataset, radius, _gram_threads())
+    return dict(zip(dataset.counts, f.tolist()))
 
 
-def _support(dataset: ShotDataset, radius: int) -> np.ndarray:
-    """f_r per distinct string, aligned with ``dataset.keys``.
+def _support(dataset: ShotDataset) -> np.ndarray:
+    """f_1 per distinct string, aligned with ``dataset.keys``.
 
-    At radius 1 on one-word keys with 2**n at most
+    On one-word keys with 2**n at most
     ``_TABLE_ENTRIES_PER_KEY`` entries per distinct string, the counts are
     scattered into a dense 2**n table and each key gathers its n neighbours
     with one XOR per bit. Otherwise, for each bit, every key with the bit
@@ -149,8 +150,6 @@ def _support(dataset: ShotDataset, radius: int) -> np.ndarray:
     share every key word but the toggled one, so on multi-word keys only
     rows that share those words with another row are searched.
     """
-    if radius > 1:
-        return _support_within(dataset, radius, _gram_threads())
     keys, cnt = dataset.keys, dataset.key_counts
     w = keys.shape[1]
     f = cnt.copy()
@@ -496,7 +495,7 @@ def filter_dataset(
     lam = math.ldexp(s, -n)
     radius = 1
     t = compute_threshold(s, n, config) if threshold is None else float(threshold)
-    support = _support(dataset, 1)
+    support = _support(dataset)
     keep = support >= t
     if not keep.any() and threshold is None and np.array_equal(support, dataset.key_counts):
         radius, t = _scan_radius(s, n, config, s)

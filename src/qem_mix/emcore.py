@@ -203,8 +203,6 @@ def _posterior(dataset: ShotDataset, model: MixtureModel):
     """E-step kernel on the distinct rows: (W, row lse, counts)."""
     if model.n != dataset.n:
         raise DimensionError(f"model width {model.n} != dataset width {dataset.n}")
-    if model.k_nz == 0:
-        raise InvalidModelError("all mixing weights are zero")
     yf, c = _rows(dataset)
     w, lse = _softmax_rows(_log_joint(yf, _strings_bits(model.x), model.alpha, model.eps))
     return w, lse, c
@@ -399,9 +397,13 @@ def run_em(dataset: ShotDataset, config: Optional[EmConfig] = None) -> EmReport:
     weakest component, repeat down to k_min; return the model with the best
     objective among recorded levels.
 
-    Ties prefer the later (smaller) level. A level whose component count
-    collapses below k_min cannot become the best model; if no level lands
-    inside [k_min, k_max] a DegenerateModelError is raised.
+    Ties prefer the later (smaller) level. Only levels entered before any
+    level has returned can fail (DegenerateModelError from their first
+    M-step); such a level is recorded as not converged and the sweep goes
+    on one component smaller, except at k_min, where the error is
+    re-raised. A level whose component count collapses below k_min cannot
+    become the best model; if no level lands inside [k_min, k_max] a
+    DegenerateModelError is raised.
     """
     config = config or EmConfig()
     n = dataset.n
@@ -420,31 +422,28 @@ def run_em(dataset: ShotDataset, config: Optional[EmConfig] = None) -> EmReport:
     best_obj = -math.inf
 
     while True:
-        k_entry = model.k
         try:
             res = run_em_fixed_k(dataset, model, config)
         except DegenerateModelError:
-            converged[k_entry] = False
-            if best is None and k_entry <= config.k_min:
+            # A returned level leaves k columns of mass > n/2, so S > k*n/2 and no
+            # later M-step can leave every column at or below n/2: best is None here.
+            converged[model.k] = False
+            if model.k <= config.k_min:
                 raise
-            if k_entry <= config.k_min:
-                break
-            model = _force_annihilate(model)
-            continue
-
-        trace_all.extend(
-            (k_nz, total_updates + it, obj) for k_nz, it, obj in res.trace
-        )
-        total_updates += res.iterations
-        level_k = res.model.k
-        converged[level_k] = res.converged
-        obj_final = res.trace[-1][2]
-        if config.k_min <= level_k <= config.k_max and obj_final >= best_obj:
-            best = res.model
-            best_obj = obj_final
-        if level_k <= config.k_min:
+        else:
+            trace_all.extend(
+                (k_nz, total_updates + it, obj) for k_nz, it, obj in res.trace
+            )
+            total_updates += res.iterations
+            model = res.model
+            converged[model.k] = res.converged
+            obj_final = res.trace[-1][2]
+            if config.k_min <= model.k <= config.k_max and obj_final >= best_obj:
+                best = model
+                best_obj = obj_final
+        if model.k <= config.k_min:
             break
-        model = _force_annihilate(res.model)
+        model = _force_annihilate(model)
 
     if best is None:
         raise DegenerateModelError(

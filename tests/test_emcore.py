@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qem_mix import emcore
 from qem_mix.depfilter import FilterConfig, filter_dataset
 from qem_mix.emcore import (
     EmConfig,
@@ -451,6 +452,56 @@ class TestRunEm:
         result = ber(list(truth.solutions), list(report.best.x), 10)
         assert report.k_hat == 4
         assert result.ber == 0.0
+
+    def test_levels_fail_only_before_one_returns(self, monkeypatch):
+        # A returned level leaves k components of mass > n/2, so S > k*n/2:
+        # no later M-step can push every column under the floor.
+        levels = []
+        real = emcore.run_em_fixed_k
+
+        def spy(dataset, model, config):
+            try:
+                res = real(dataset, model, config)
+            except DegenerateModelError:
+                levels.append((model.k, None))
+                raise
+            levels.append((model.k, res))
+            return res
+
+        monkeypatch.setattr(emcore, "run_em_fixed_k", spy)
+        rng = np.random.default_rng(28)
+        datasets = [
+            random_dataset(rng, 40, 100),
+            random_dataset(rng, 20, 60),
+            generate_shots(sample_ground_truth(10, 3, 31),
+                           NoiseSpec(p=0.5, eps=np.full(10, 0.08)), 300, 32),
+            generate_shots(sample_ground_truth(16, 2, 41),
+                           NoiseSpec(p=0.3, eps=np.full(16, 0.05)), 60, 42),
+        ]
+        configs = [EmConfig(k_min=k, seed=3) for k in (1, 2, 3, 12)]
+        configs.append(EmConfig(k_max=6, seed=3, mml_enabled=False))
+        failures = 0
+        for ds in datasets:
+            for config in configs:
+                levels.clear()
+                try:
+                    report = run_em(ds, config)
+                except DegenerateModelError:
+                    report = None
+                failed = [k for k, res in levels if res is None]
+                returned = [res for _, res in levels if res is not None]
+                assert [k for k, _ in levels[:len(failed)]] == failed
+                if report is not None:
+                    assert report.converged == {
+                        **dict.fromkeys(failed, False),
+                        **{res.model.k: res.converged for res in returned},
+                    }
+                elif returned:  # every level that returned fell below k_min
+                    assert all(res.model.k < config.k_min for res in returned)
+                else:  # the level at k_min failed and re-raised
+                    assert failed[-1] == config.k_min
+                failures += len(failed)
+        assert failures > 0
 
 
 class TestModelIO:

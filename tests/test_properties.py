@@ -166,6 +166,7 @@ NAMED_FILES = {
     "exponent": _counts_file([("0011", "1e3")]),
     "no-newline": _counts_file([("0011", "5")], end=b"}"),
     "mixed-widths": _counts_file([("0011", "5"), ("011", "5")]),
+    "digit-in-key": _counts_file([("0011", "5"), ("0120", "2")]),
     **{f"width-{n}": _counts_file([(("01" * n)[:n], "3"), ("1" * n, "4")])
        for n in (63, 64, 65, 128)},
     "sum-past-2**63": _counts_file([(format(i, "04b"), MAX_18) for i in range(10)]),

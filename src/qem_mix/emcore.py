@@ -20,6 +20,8 @@ n=128 they underflow any fixed-precision float).
 from __future__ import annotations
 
 import math
+import operator
+import random
 from dataclasses import dataclass
 from typing import Optional
 
@@ -292,15 +294,31 @@ def kmeanspp_init(dataset: ShotDataset, k_max: int, seed: int) -> list:
     proportional to count(x) * d_min(x)**2 (Hamming distance to the nearest
     chosen center). If the distinct strings run out before k_max, the rest
     are uniform random bit-strings.
+
+    The draws come from the standard library's ``random.Random(seed)``,
+    whose ``random()`` sequence for a given seed Python keeps across
+    versions. Each weighted draw maps one ``random()`` through the
+    normalized cumulative weights, as numpy's ``Generator.choice`` does, so
+    a zero-weight string is never drawn; each uniform center is one
+    ``getrandbits(n)``. ``seed`` is a non-negative integer, a numpy integer
+    included.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    n, u = dataset.n, dataset.distinct
-    rng = np.random.default_rng(seed)
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    n = dataset.n
+    rng = random.Random(seed)
     bits = dataset.distinct_bits()
     weights = dataset.key_counts.astype(np.float64)
 
-    first = int(rng.choice(u, p=weights / weights.sum()))
+    def draw(p: np.ndarray) -> int:
+        cdf = np.cumsum(p)
+        cdf /= cdf[-1]
+        return int(np.searchsorted(cdf, rng.random(), side="right"))
+
+    first = draw(weights)
     centers = [bits[first]]
     d_min = (bits ^ bits[first]).sum(axis=1, dtype=np.int64)
 
@@ -310,14 +328,13 @@ def kmeanspp_init(dataset: ShotDataset, k_max: int, seed: int) -> list:
         if total <= 0.0:
             # Every distinct string is already a center.
             break
-        idx = int(rng.choice(u, p=prob / total))
+        idx = draw(prob)
         centers.append(bits[idx])
         d_new = (bits ^ bits[idx]).sum(axis=1, dtype=np.int64)
         np.minimum(d_min, d_new, out=d_min)
 
-    while len(centers) < k_max:
-        centers.append(rng.integers(0, 2, size=n, dtype=np.uint8))
-    return _bits_strings(np.stack(centers))
+    tail = [BitString(n, rng.getrandbits(n)) for _ in range(k_max - len(centers))]
+    return _bits_strings(np.stack(centers)) + tail
 
 
 # ---------------------------------------------------------------------------

@@ -323,7 +323,7 @@ class TestGenerate:
         assert run(capsys, "filter", "d.json", "--out", "f.json")[0] == 0
         assert load_counts("d.json").distinct == 2000
         for name, sha in (
-            ("m.json", "53c35c71f99c5d364028cbc7cb280bad0f6da07bd827901e63f8df974ac6ca6e"),
+            ("m.json", "e4c305f34acc732d85ad29bebe5f71b5ad30df0e95ec87b52b4ce04e0c2a4fd1"),
             ("f.json", "15a377228c51faa7e42b0b47e0f12f948680bab194c64d9d56f57abf035f6338"),
         ):
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == sha
@@ -501,6 +501,30 @@ class TestPipeline:
             )
             assert code == 0
         assert m1.read_bytes() == m2.read_bytes()
+
+    def test_only_generate_loads_numpy_random(self, capsys, tmp_path):
+        # numpy.random brings OpenSSL in through secrets and hashlib: a
+        # fresh process that filters, mitigates and evaluates never loads it
+        data = self._generate(capsys, tmp_path)
+        out, model = str(tmp_path / "f.json"), str(tmp_path / "m.json")
+        code = (
+            "import sys\n"
+            "from qem_mix import cli\n"
+            "for argv in (\n"
+            f"    ['filter', {str(data)!r}, '--t-floor', '25', '--out', {out!r}],\n"
+            f"    ['mitigate', {str(data)!r}, '--t-floor', '25', '--seed', '4',\n"
+            f"     '--model-out', {model!r}],\n"
+            f"    ['evaluate', '--model', {model!r}, '--truth', {str(data) + '.truth.json'!r}],\n"
+            "):\n"
+            "    assert cli.dispatch(['--quiet', *argv]) == 0, argv\n"
+            "    assert 'numpy.random' not in sys.modules, argv[0]\n"
+            "argv = ['--quiet', 'generate', '--n', '4', '--k', '1', '--s', '10',\n"
+            f"        '--out', {str(tmp_path / 'g.json')!r}]\n"
+            "assert cli.dispatch(argv) == 0\n"
+            "assert 'numpy.random' in sys.modules\n"
+        )
+        done = run_python(code)
+        assert done.returncode == 0, done.stderr
 
     def test_mitigate_logs_radius_not_in_model(self, capsys, tmp_path, caplog):
         import logging

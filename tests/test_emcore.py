@@ -27,6 +27,7 @@ from qem_mix.synth import NoiseSpec, generate_shots, sample_ground_truth
 from conftest import (
     direct_e_step,
     direct_log_likelihood,
+    naive_hamming,
     random_dataset,
     random_model_parts,
 )
@@ -302,7 +303,7 @@ class TestKmeansppInit:
         # expected centers were taken from the per-row BitString builder
         ds = ShotDataset([B("010110011")] * 2 + [B("111000101")])
         assert [c.text for c in kmeanspp_init(ds, 5, seed=7)] == [
-            "010110011", "111000101", "010100110", "101000001", "001010110"]
+            "010110011", "111000101", "101001101", "000011000", "000100101"]
 
     def test_separated_clusters_each_seeded(self):
         # 4 clusters with pairwise distance >= n/4 at n=16: one center in
@@ -337,6 +338,41 @@ class TestKmeansppInit:
         a = kmeanspp_init(ds, 3, seed=9)
         b = kmeanspp_init(ds, 3, seed=9)
         assert [c.text for c in a] == [c.text for c in b]
+
+    def test_seed_contract(self):
+        # a numpy integer seeds as the int it holds; a negative or
+        # non-integer seed is refused, not folded onto another stream
+        ds = ShotDataset([B("0011")] * 4 + [B("1100")] * 4 + [B("0101")] * 2)
+        assert kmeanspp_init(ds, 5, np.uint32(9)) == kmeanspp_init(ds, 5, 9)
+        with pytest.raises(ValueError):
+            kmeanspp_init(ds, 3, -1)
+        with pytest.raises(TypeError):
+            kmeanspp_init(ds, 3, 1.5)
+
+    def test_draw_frequencies(self):
+        # counts 1, 2, 5; pairwise distances 2, 4, 2. Over seeds 0-1999 the
+        # first center's frequencies follow count / S, the second's, given
+        # the first, count * d_min**2, each within 4 binomial standard
+        # deviations (so a zero weight is never drawn); the third is the one
+        # string left with positive weight
+        texts, counts = ["0000", "0011", "1111"], [1, 2, 5]
+        ds = ShotDataset([B(t) for t, c in zip(texts, counts) for _ in range(c)])
+        draws = [[c.text for c in kmeanspp_init(ds, 3, seed)] for seed in range(2000)]
+        assert all(sorted(d) == texts for d in draws)
+
+        def within_bounds(picked, weights):
+            trials, total = len(picked), sum(weights)
+            for text, w in zip(texts, weights):
+                p = w / total
+                hits = picked.count(text)
+                assert abs(hits - trials * p) <= 4 * math.sqrt(trials * p * (1 - p))
+
+        firsts = [d[0] for d in draws]
+        within_bounds(firsts, counts)
+        for first in texts:
+            seconds = [d[1] for d in draws if d[0] == first]
+            within_bounds(seconds, [c * naive_hamming(t, first) ** 2
+                                    for t, c in zip(texts, counts)])
 
 
 class TestRunEmFixedK:
@@ -412,6 +448,12 @@ class TestRunEm:
         report = run_em(ds, EmConfig(k_min=1, k_max=4, seed=1))
         assert report.k_hat == 1
         assert report.best.x[0].text == "010101"
+
+    def test_seed_contract(self):
+        ds = ShotDataset([B("0011")] * 30 + [B("1100")] * 30)
+        assert run_em(ds, EmConfig(k_max=3, seed=np.uint32(7))).k_hat == 2
+        with pytest.raises(ValueError):
+            run_em(ds, EmConfig(k_max=3, seed=-1))
 
     def test_deterministic(self):
         truth = sample_ground_truth(8, 2, 15)

@@ -222,8 +222,8 @@ class TestRunSweep:
             )
         }
         assert digests == {
-            "rows.csv": "9bd252d80438789efabed43de2b78f663c5289bf685a3d70fb6ccc4e942c2572",
-            "summary.json": "0d337adf00e32ed9a050abb84d3347435bd15c62767d83f48c1ca92fa454d2c5",
+            "rows.csv": "e3940e5c5efb456495c933785bf0195ee721b08a9f6c94f211aa14f5a5fb8266",
+            "summary.json": "cfbd8c9dd6f442d5e773353b00de877e5db03478ca825bdca3d2a082173fdbb7",
             "timings.csv keys":
                 "6ea6a9e0b072185fc7672ae082021ed569e9ccad6a5b06df639ffcfd7996c8e4",
         }

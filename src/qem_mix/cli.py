@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--quiet", action="store_true", help="suppress non-error output")
 
     def seed(text: str) -> int:
-        """A --seed value: numpy seeds from non-negative integers only."""
+        """A --seed value: every seed is a non-negative integer."""
         value = int(text)
         if value < 0:
             raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")

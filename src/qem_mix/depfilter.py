@@ -24,8 +24,9 @@ counts into a dense 2**n table and gathers each key's n neighbours with
 one XOR per bit: O(2**n + n * U). Otherwise it sets each clear bit of
 every key and looks the result up by binary search over the sorted keys:
 O(n * U log U). Wider radii compare every distinct string with a reference
-R of them, using Gram products over cache-sized tiles: O(U * M' * n)
-arithmetic in bounded memory, spread over the process's CPUs by threads.
+R of them, by one Gram product per band of rows against all of R:
+O(U * M' * n) arithmetic in bounded memory, spread over the process's CPUs
+by threads.
 R is every string while U is at most ``_REFERENCE_STRINGS`` (M), and the
 supports are then exact; otherwise R is every ceil(U/M)-th string in key
 order, and each support is estimated from R's shots, scaled up to S (see
@@ -71,8 +72,8 @@ log = logging.getLogger("qem_mix.depfilter")
 # has at most this many entries per distinct string.
 _TABLE_ENTRIES_PER_KEY = 16
 # Entries computed per block by the support passes: table lookups at radius
-# 1; at radius r > 1 each of a worker's two Gram tile buffers holds a
-# quarter as many (1 MiB of float32 each).
+# 1; at radius r > 1 a band's Gram tile holds a quarter as many (1 MiB of
+# float32), or one row when the packed reference alone is wider.
 _BLOCK_ENTRIES = 1 << 20
 # The widened pass counts support against every string while there are at
 # most this many distinct strings, else against every ceil(U/M)-th one.
@@ -130,8 +131,11 @@ def support_counts(dataset: ShotDataset, radius: int = 1) -> dict:
 
     Only observed strings contribute (unobserved neighbors count 0).
     Radius 1 costs O(2**n + n * U) where the dense table applies, else
-    O(n * U log U); wider radii cost O(U**2 * n).
+    O(n * U log U); wider radii cost O(U**2 * n). ``radius`` is an
+    integer, a numpy one included; a bool or a float raises ValueError.
     """
+    _check_integer("radius", radius)
+    radius = int(radius)
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
     f = _support(dataset) if radius == 1 else _support_within(dataset, radius, _gram_threads())
@@ -262,25 +266,33 @@ def _support_within(dataset: ShotDataset, radius: int, threads: int,
     computes each entry exactly in any summation order; when S exceeds
     2**24, or no field fits float32, the pass runs in float64 and int64.
 
-    The U x ceil(M'/D) product, M' the strings of R, is cut into tiles of
-    ``side`` = isqrt(_BLOCK_ENTRIES / 4) (512) rows by as many packed
-    columns. Row bands of tiles are handed out in order to ``threads``
-    workers (the count ``_gram_threads`` gives), and numpy releases the GIL
-    inside each product. A worker signs its band's rows from the keys when
-    it takes the band, so only P, about M'/D x n floats, spans the strings.
-    Each tile is converted to integers once, and only rows whose entries,
-    OR-ed together, set some field's top bit are decoded. For each field,
-    its top bits credit their rows with the columns' counts by one
-    matrix-vector product, and each band's rows are credited by the one
-    worker that took it. Each worker reuses two tile buffers (1 MiB of
-    float32 each) and its band's signs (side x n floats). The buffers come
-    from the calling thread, so their memory is returned when the pass ends
+    The U x G product, G = ceil(M'/D) packed columns and M' the strings of
+    R, is cut into bands of ``(_BLOCK_ENTRIES // 4) // G`` rows (at least
+    one, at most U), and each band is multiplied by all G columns at once:
+    a tile of at most a quarter of ``_BLOCK_ENTRIES`` entries (1 MiB of
+    float32) while G is at most that, 393 rows at M' = 2000, D = 3. R is
+    signed in one piece and packed, and its signs are freed before the
+    workers start, so only P, about M'/D x n floats, spans R. Bands are
+    handed out in order to ``threads`` workers (the count ``_gram_threads``
+    gives), and numpy releases the GIL inside each product. A worker signs
+    its band's rows from the keys when it takes the band. Each tile is
+    converted to integers once, and only rows whose entries, OR-ed
+    together, set some field's top bit are gathered into the spent tile
+    and decoded. For each field, its top bits credit their rows with the
+    columns' counts by one matrix-vector product, and each band's rows are
+    credited by the one worker that took it. Each worker reuses two tile
+    buffers and its band's signs (rows x n floats). The buffers come from
+    the calling thread, so their memory is returned when the pass ends
     (what a worker thread allocates stays with the process), and the
     tile's size sets how often the workers hand each other the GIL. All
     credits are exact integers, so the result does not depend on which
-    worker took which band. Each pass logs one debug line: the radius, U,
-    pairs compared (those with an end in R), Gram entries computed, D, rows
-    decoded, R's strings and shots, threads and seconds.
+    worker took which band. ``filter_dataset``'s R holds at most
+    ``_REFERENCE_STRINGS`` + D - 1 rows with its padding; ``support_counts``
+    at r > 1 passes every string as R, so it briefly holds U x n signs
+    next to the U/D x n packed floats. Each pass logs one debug line: the
+    radius, U, pairs compared (those with an end in R), Gram entries
+    computed (U x G), D, rows decoded, R's strings and shots, threads and
+    seconds.
     """
     u, start = dataset.distinct, time.perf_counter()
     reference = dataset if step == 1 else dataset.select_distinct(np.arange(u) % step == 0)
@@ -289,72 +301,60 @@ def _support_within(dataset: ShotDataset, radius: int, threads: int,
     (w, per), dtype, itype = _packing(n, radius, 24), np.float32, np.int32
     if dataset.s > 1 << 24 or not per:
         (w, per), dtype, itype = _packing(n, radius, 53), np.float64, np.int64
-    groups, side = -(-m // per), max(1, math.isqrt(_BLOCK_ENTRIES // 4))
+    groups = -(-m // per)
+    rows = max(1, min(u, (_BLOCK_ENTRIES // 4) // groups))  # rows per band
     tops = [1 << (w * t + w - 1) for t in range(per)]  # each field's top bit
     hits = sum(tops)
     offset = (2 ** (w - 1) - n // 2 + radius) * sum(1 << w * t for t in range(per))
-    cnt = np.zeros(groups * per, dtype=dtype)
-    cnt[:m] = reference.key_counts
-    field_cnt = cnt.reshape(groups, per).T.copy()  # row t: the counts of field t
-    packed = np.empty((groups, n), dtype=dtype)
-    z = np.empty((side * per, n), dtype=dtype)
-    for g in range(0, groups, side):
-        end = min(g + side, groups)
-        signs = _signs(reference, g * per, end * per, z)
-        block = np.multiply(signs[0::per], 0.5, out=packed[g:end])
-        for t in range(1, per):
-            block += signs[t::per] * 2.0 ** (w * t - 1)
+    field_cnt = np.zeros((per, groups), dtype=dtype)  # row t: the counts of field t
+    field_cnt.T.flat[:m] = reference.key_counts
+    z = _signs(reference, 0, groups * per, np.empty((groups * per, n), dtype=dtype))
+    packed = sum(z[t::per] * 2.0 ** (w * t - 1) for t in range(per))
     del z
     near = np.zeros(u, dtype=np.float64)  # shots of R within r, own included
-    bands = iter(range(0, u, side))
+    bands = iter(range(0, u, rows))
     lock = threading.Lock()
 
-    def work(z: np.ndarray, tile_buf: np.ndarray, field_buf: np.ndarray) -> tuple:
-        entries = decoded = 0
+    def work(z: np.ndarray, tile_buf: np.ndarray, field_buf: np.ndarray) -> int:
+        decoded = 0
         while True:
             with lock:
                 a = next(bands, None)
             if a is None:
-                return entries, decoded
-            signs = _signs(dataset, a, min(a + side, u), z)
-            for g0 in range(0, groups, side):
-                g1 = min(g0 + side, groups)
-                size, shape = len(signs) * (g1 - g0), (len(signs), g1 - g0)
-                tile = np.matmul(signs, packed[g0:g1].T, out=tile_buf[:size].reshape(shape))
-                fields = field_buf[:size].reshape(shape)
-                np.add(tile, offset, out=fields, casting="unsafe")
-                hit = np.flatnonzero(np.bitwise_or.reduce(fields, axis=1) & hits)
-                entries += fields.size
-                decoded += len(hit)
-                if not len(hit):
-                    continue
-                if len(hit) < len(fields):  # gather the rows with a hit into the spent tile
-                    size, shape = len(hit) * (g1 - g0), (len(hit), g1 - g0)
-                    # mode "raise" would gather into a temporary first
-                    fields = np.take(fields, hit, axis=0, mode="clip",
-                                     out=tile_buf.view(itype)[:size].reshape(shape))
-                    bit = field_buf.view(dtype)[:size].reshape(shape)
-                else:
-                    bit = tile
-                credit = np.zeros(len(hit), dtype=dtype)
-                for t, top in enumerate(tops):
-                    np.bitwise_and(fields, top, out=bit, casting="unsafe")
-                    credit += bit @ field_cnt[t, g0:g1] / top
-                near[a + hit] += credit
+                return decoded
+            signs = _signs(dataset, a, min(a + rows, u), z)
+            size, shape = len(signs) * groups, (len(signs), groups)
+            tile = np.matmul(signs, packed.T, out=tile_buf[:size].reshape(shape))
+            fields = np.add(tile, offset, out=field_buf[:size].reshape(shape), casting="unsafe")
+            hit = np.flatnonzero(np.bitwise_or.reduce(fields, axis=1) & hits)
+            decoded += len(hit)
+            if not len(hit):
+                continue
+            # gather the rows with a hit into the spent tile; mode "raise"
+            # would gather into a temporary first
+            size, shape = len(hit) * groups, (len(hit), groups)
+            fields = np.take(fields, hit, axis=0, mode="clip",
+                             out=tile_buf.view(itype)[:size].reshape(shape))
+            bit = field_buf.view(dtype)[:size].reshape(shape)
+            credit = np.zeros(len(hit), dtype=dtype)
+            for t, top in enumerate(tops):
+                np.bitwise_and(fields, top, out=bit, casting="unsafe")
+                credit += bit @ field_cnt[t] / top
+            near[a + hit] += credit
 
     from concurrent.futures import ThreadPoolExecutor  # loaded by the radius-r pass alone
 
-    workers = min(threads, -(-u // side))
+    workers = min(threads, -(-u // rows))
     with ThreadPoolExecutor(workers) as pool:
-        futures = [pool.submit(work, np.empty((side, n), dtype=dtype),
-                               np.empty(side * side, dtype=dtype),
-                               np.empty(side * side, dtype=itype))
+        futures = [pool.submit(work, np.empty((rows, n), dtype=dtype),
+                               np.empty(rows * groups, dtype=dtype),
+                               np.empty(rows * groups, dtype=itype))
                    for _ in range(workers)]
-        parts = [future.result() for future in futures]
+        decoded = sum(future.result() for future in futures)
     log.debug("radius %d support: U=%d, %d pairs compared on %d Gram entries of %d pairs, "
               "%d rows decoded, reference of %d strings and %d shots, %d thread(s) in %.3f s",
-              radius, u, m * (m - 1) // 2 + (u - m) * m, sum(p[0] for p in parts), per,
-              sum(p[1] for p in parts), m, reference.s, threads, time.perf_counter() - start)
+              radius, u, m * (m - 1) // 2 + (u - m) * m, u * groups, per, decoded, m,
+              reference.s, threads, time.perf_counter() - start)
     if step == 1:
         return near.astype(np.int64)
     c = dataset.key_counts.astype(np.float64)

@@ -77,7 +77,8 @@ class TestSupportCounts:
         assert repeated
 
     def test_radius_r_across_gram_blocks(self, rng, monkeypatch):
-        # blocks of 3 rows: pairs in different blocks are credited to both
+        # bands of 30 // G rows (2 or 3): pairs in different bands are
+        # credited to both
         monkeypatch.setattr(depfilter, "_BLOCK_ENTRIES", 3 * 40)
         bits = rng.integers(0, 2, size=(40, 40), dtype=np.uint8)
         bits[20:25] = bits[0]  # one string five more times
@@ -137,6 +138,14 @@ class TestSupportCounts:
         with pytest.raises(ValueError):
             support_counts(ShotDataset([B("01")]), 0)
 
+    def test_radius_is_an_integer(self, rng):
+        # a numpy integer counts as its value; a float or a bool is refused
+        ds = _distinct_dataset(rng, 10, 12)
+        assert support_counts(ds, np.int64(3)) == support_counts(ds, 3)
+        for radius in (2.0, 2.5, True):
+            with pytest.raises(ValueError, match="radius"):
+                support_counts(ds, radius)
+
 
 def _distinct_dataset(rng, n, u):
     """U distinct n-bit strings (n <= 64), some of them repeated."""
@@ -160,7 +169,9 @@ class TestGramTiles:
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("u", [1, 3, 4, 8, 10, 17])
     def test_tiles_match_brute_force(self, rng, monkeypatch, threads, u):
-        # tiles of side 4: U below, at, a multiple of and off the tile side
+        # tiles of at most 16 entries, in bands of min(U, 16 // G) rows: U
+        # fits one band, is a multiple of the band height (U=10 at r=10) or
+        # is off it
         monkeypatch.setattr(depfilter, "_BLOCK_ENTRIES", 4 * 4 * 4)
         monkeypatch.setattr(depfilter, "_gram_threads", lambda: threads)
         ds = _distinct_dataset(rng, 10, u)
@@ -181,6 +192,27 @@ class TestGramTiles:
         assert ds.s > 1 << 24
         for radius in (2, 3, 4):
             assert support_counts(ds, radius) == naive_support_counts(ds, radius)
+
+    @pytest.mark.parametrize("entries", [4 * 2, 4 * 2 * 2, 4 * 4 * 4])
+    def test_each_band_takes_the_whole_packed_reference(self, rng, monkeypatch, entries):
+        # G = 3 packed columns against tiles of 2, 4 and 16 entries: every
+        # product spans all G columns, in bands of at least one row
+        monkeypatch.setattr(depfilter, "_BLOCK_ENTRIES", entries)
+        monkeypatch.setattr(depfilter, "_gram_threads", lambda: 2)
+        products, lock = [], threading.Lock()
+
+        def matmul(a, b, out):
+            with lock:
+                products.append((b.shape, out.size))
+            return np.matmul(a, b, out=out)
+
+        monkeypatch.setattr(depfilter, "np", _NumpyWith(matmul))
+        ds = _distinct_dataset(rng, 10, 17)
+        groups = -(-ds.distinct // depfilter._packing(10, 4, 24)[1])
+        assert groups == 3
+        assert support_counts(ds, 4) == naive_support_counts(ds, 4)
+        assert products and all(shape == (10, groups) for shape, _ in products)
+        assert all(size <= max(entries // 4, groups) for _, size in products)
 
     def test_every_worker_sums_its_bands(self, rng, monkeypatch):
         # each worker's first product waits for the others, so every worker
@@ -276,7 +308,8 @@ class TestPackedGram:
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 2, 3, 9, 127, 128, 129, 255])
     def test_every_radius_matches_brute_force(self, rng, monkeypatch, n, threads):
-        # tiles of 5 rows by 5 packed columns over about 50 strings
+        # tiles of at most 50 entries over about 50 strings: bands of a few
+        # rows against every packed column
         monkeypatch.setattr(depfilter, "_BLOCK_ENTRIES", 8 * 5 * 5)
         monkeypatch.setattr(depfilter, "_gram_threads", lambda: threads)
         ds = _clustered_dataset(rng, n)
@@ -287,17 +320,18 @@ class TestPackedGram:
         for r in range(2, n + 1):
             assert support_counts(ds, r) == dict(zip(ds.counts, expected[r].tolist()))
 
-    @pytest.mark.parametrize("side", [1, 2, 4, 5, 7])
+    @pytest.mark.parametrize("rows", [1, 2, 4, 5, 7])
     @pytest.mark.parametrize("threads", [1, 3])
     def test_packed_groups_straddle_the_diagonal_and_the_padding(
-            self, rng, monkeypatch, side, threads):
-        # D = 3 and U = 3k + 1: a band's first packed group starts before
-        # the band and its last ends past it, and the last group is padding
-        monkeypatch.setattr(depfilter, "_BLOCK_ENTRIES", 8 * side * side)
+            self, rng, monkeypatch, rows, threads):
+        # D = 3 and U = 3k + 1, in bands of ``rows`` rows: a band's first
+        # packed group starts before the band and its last ends past it,
+        # and the last group is padding
         monkeypatch.setattr(depfilter, "_gram_threads", lambda: threads)
         ds = _clustered_dataset(rng, 128, u=33)
         ds = ds.select_distinct(np.arange(ds.distinct) < 3 * ((ds.distinct - 1) // 3) + 1)
         assert ds.distinct % 3 == 1
+        monkeypatch.setattr(depfilter, "_BLOCK_ENTRIES", 4 * rows * -(-ds.distinct // 3))
         expected = _brute_support(ds, (20, 31, 40))
         for r in expected:
             assert depfilter._packing(128, r, 24)[1] == 3
@@ -736,10 +770,11 @@ class TestReferencePass:
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("t_floor", [2, 8])
     def test_filter_matches_the_definition(self, dataset, monkeypatch, threads, t_floor):
-        # tiles of 2 rows by 2 packed columns; at t_floor 2 every string
-        # appears once, so that radius 1 keeps nothing; at t_floor 8 the
-        # scale (S - c) / (S_R - c_R), not the reference's own shots,
-        # decides what is kept
+        # tiles of at most 4 entries, so bands of one row against every
+        # packed column of R; at t_floor 2 every string appears once, so
+        # that radius 1 keeps nothing; at t_floor 8 the scale
+        # (S - c) / (S_R - c_R), not the reference's own shots, decides
+        # what is kept
         pytest.importorskip("scipy")
         monkeypatch.setattr(depfilter, "_BLOCK_ENTRIES", 4 * 2 * 2)
         monkeypatch.setattr(depfilter, "_gram_threads", lambda: threads)

@@ -9,6 +9,7 @@ Diagnostics go to stderr; data goes to files or stdout.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import os
@@ -19,7 +20,7 @@ from dataclasses import asdict, replace
 from . import __version__
 from .depfilter import FilterConfig, check_threshold, filter_dataset
 from .emcore import EmConfig, load_model, save_model
-from .errors import QemError
+from .errors import DimensionError, QemError
 from .harness import NoiseGrid, _seeds, load_sweep_config, run_pipeline, run_sweep
 from .metrics import ber, hellinger_fidelity, model_to_distribution
 from .shotdata import ShotDataset, _seekable, load_counts, load_shots_text, save_counts
@@ -269,6 +270,9 @@ def _cmd_mitigate(args) -> int:
 def _cmd_evaluate(args) -> int:
     model, _doc = load_model(args.model)
     truth, _noise = load_ground_truth(args.truth)
+    if model.n != truth.n:
+        raise DimensionError(f"model {args.model} has {model.n}-bit strings, "
+                             f"truth {args.truth} has {truth.n}-bit strings")
     live = [x for x, a in zip(model.x, model.alpha) if a > 0]
     result = ber(list(truth.solutions), live, truth.n)
     hf = hellinger_fidelity(
@@ -333,7 +337,20 @@ def dispatch(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(dispatch(sys.argv[1:]))
+    """Run one command and exit with its code.
+
+    Before exiting, ``gc.freeze()`` moves every tracked object into the
+    permanent generation, so interpreter finalization skips its full
+    collections over the ~22,000 objects that importing numpy and qem_mix
+    leaves. Atexit handlers, module teardown and the flushes of stdout and
+    stderr still run. Cyclic garbage alive at exit is left to the OS, not
+    collected, so every command closes its output files before
+    ``dispatch`` returns. ``dispatch`` itself keeps normal collection, for
+    tests and library callers.
+    """
+    code = dispatch(sys.argv[1:])
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -72,7 +72,7 @@ log = logging.getLogger("qem_mix.depfilter")
 # has at most this many entries per distinct string.
 _TABLE_ENTRIES_PER_KEY = 16
 # Entries computed per block by the support passes: table lookups at radius
-# 1; at radius r > 1 a band's Gram tile holds a quarter as many (1 MiB of
+# 1; at radius r > 1 a band's Gram tile holds an eighth as many (512 KiB of
 # float32), or one row when the packed reference alone is wider.
 _BLOCK_ENTRIES = 1 << 20
 # The widened pass counts support against every string while there are at
@@ -115,12 +115,21 @@ class FilterReport:
     except after a widened pass over more than ``_REFERENCE_STRINGS``
     distinct strings: it then holds the float64 estimates of f_r counted
     against a reference of them (see ``_support_within``).
+
+    ``t_tail`` is the radius-1 threshold that uniform noise is expected to
+    reach at most once: the smallest integer T with
+    S * P[Poisson(lam*(n+1)) >= T-1] < 1 (see ``_tail_threshold``).
+    ``expected_survivors`` is how many of the S shots uniform noise is
+    expected to carry past ``threshold_used`` at ``radius``, with supports
+    counted against the pass's reference (see ``_noise_survivors``).
     """
 
     kept: ShotDataset
     removed_count: int
     threshold_used: float
     lam: float
+    t_tail: int
+    expected_survivors: float
     support: np.ndarray = field(repr=False, compare=False)
     radius: int = 1
 
@@ -267,10 +276,10 @@ def _support_within(dataset: ShotDataset, radius: int, threads: int,
     2**24, or no field fits float32, the pass runs in float64 and int64.
 
     The U x G product, G = ceil(M'/D) packed columns and M' the strings of
-    R, is cut into bands of ``(_BLOCK_ENTRIES // 4) // G`` rows (at least
+    R, is cut into bands of ``(_BLOCK_ENTRIES // 8) // G`` rows (at least
     one, at most U), and each band is multiplied by all G columns at once:
-    a tile of at most a quarter of ``_BLOCK_ENTRIES`` entries (1 MiB of
-    float32) while G is at most that, 393 rows at M' = 2000, D = 3. R is
+    a tile of at most an eighth of ``_BLOCK_ENTRIES`` entries (512 KiB of
+    float32) while G is at most that, 196 rows at M' = 2000, D = 3. R is
     signed in one piece and packed, and its signs are freed before the
     workers start, so only P, about M'/D x n floats, spans R. Bands are
     handed out in order to ``threads`` workers (the count ``_gram_threads``
@@ -302,7 +311,7 @@ def _support_within(dataset: ShotDataset, radius: int, threads: int,
     if dataset.s > 1 << 24 or not per:
         (w, per), dtype, itype = _packing(n, radius, 53), np.float64, np.int64
     groups = -(-m // per)
-    rows = max(1, min(u, (_BLOCK_ENTRIES // 4) // groups))  # rows per band
+    rows = max(1, min(u, (_BLOCK_ENTRIES // 8) // groups))  # rows per band
     tops = [1 << (w * t + w - 1) for t in range(per)]  # each field's top bit
     hits = sum(tops)
     offset = (2 ** (w - 1) - n // 2 + radius) * sum(1 << w * t for t in range(per))
@@ -364,8 +373,13 @@ def _support_within(dataset: ShotDataset, radius: int, threads: int,
 
 
 def _ball(n: int, radius: int) -> int:
-    """|B_n(r)|: the number of n-bit strings within distance r of one."""
-    return sum(math.comb(n, i) for i in range(radius + 1))
+    """|B_n(r)|: the number of n-bit strings within distance r of one,
+    grown by one exact step per radius, C(n, i) = C(n, i-1) * (n-i+1) / i."""
+    ball = comb = 1
+    for i in range(1, radius + 1):
+        comb = comb * (n - i + 1) // i
+        ball += comb
+    return ball
 
 
 def _threshold(s: int, n: int, config: FilterConfig, radius: int, ball: int) -> float:
@@ -419,6 +433,35 @@ def _poisson_tail(m: int, mu: float) -> float:
     return 1.0 - side_sum(m - 1, -1)
 
 
+def _noise_survivors(s: int, t: float, s_ref: int, mu: float) -> float:
+    """S * P[Poisson(mu) >= ceil((T - 1) * S_R / S)]: the shots of uniform
+    noise expected to pass T when supports are counted against ``s_ref``
+    of the S shots, ``mu`` being those shots' expected count in one ball.
+    A noise string passes when its reference neighbours reach that bound;
+    its own shot supplies the remaining 1 of T."""
+    p, q = t.as_integer_ratio()
+    need = -((q - p) * s_ref // (q * s))  # ceil((t - 1) * s_ref / s), exactly
+    return s * _poisson_tail(need, mu)
+
+
+def _tail_threshold(s: int, n: int) -> int:
+    """T_tail: the smallest integer T with S * P[Poisson(lam*(n+1)) >= T-1]
+    < 1, lam = S/2**n, found by doubling and then bisection over T, so it
+    takes O(log T) tail sums. T = 1 never qualifies (P[X >= 0] = 1), so
+    T_tail is at least 2."""
+    mu = s * (n + 1) / (1 << n)
+    lo, hi = 1, 2  # S * P[X >= lo - 1] >= 1 and S * P[X >= hi - 1] < 1, once found
+    while s * _poisson_tail(hi - 1, mu) >= 1:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if s * _poisson_tail(mid - 1, mu) >= 1:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 def select_radius(s: int, n: int, config: Optional[FilterConfig] = None) -> int:
     """The radius the filter widens to when no two shots are one bit apart.
 
@@ -451,9 +494,7 @@ def _scan_radius(s: int, n: int, config: FilterConfig, s_ref: int) -> tuple:
         comb = comb * (n - r + 1) // r
         ball += comb
         t = _threshold(s, n, config, r, ball)
-        p, q = t.as_integer_ratio()
-        need = -((q - p) * s_ref // (q * s))  # ceil((t - 1) * s_ref / s), exactly
-        if s * _poisson_tail(need, s_ref * ball / full) >= 1:
+        if _noise_survivors(s, t, s_ref, s_ref * ball / full) >= 1:
             return last or (1, t)
         last = r, t
     return last
@@ -488,6 +529,8 @@ def filter_dataset(
     re-deriving T from the smaller filtered S would silently shift the
     criterion. Raises ValueError for a non-finite ``threshold`` and
     AllFilteredError, naming the radius tried, when no shot survives.
+    Before either outcome it logs one debug line: the radius, T, T_tail,
+    lam*|B| and the expected noise survivors that the report carries.
     """
     check_threshold(threshold)
     config = config or FilterConfig()
@@ -495,16 +538,22 @@ def filter_dataset(
     lam = math.ldexp(s, -n)
     radius = 1
     t = compute_threshold(s, n, config) if threshold is None else float(threshold)
+    s_ref = s  # the shots the supports are counted against
     support = _support(dataset)
     keep = support >= t
     if not keep.any() and threshold is None and np.array_equal(support, dataset.key_counts):
         radius, t = _scan_radius(s, n, config, s)
         step = -(-dataset.distinct // _REFERENCE_STRINGS)
         if t <= s and step > 1:
-            radius, t = _scan_radius(s, n, config, int(dataset.key_counts[::step].sum()))
+            s_ref = int(dataset.key_counts[::step].sum())
+            radius, t = _scan_radius(s, n, config, s_ref)
         if radius > 1 and t <= s:  # no support exceeds S, so a higher T keeps nothing
             support = _support_within(dataset, radius, _gram_threads(), step)
             keep = support >= t
+    ball, t_tail = _ball(n, radius), _tail_threshold(s, n)
+    survivors = _noise_survivors(s, t, s_ref, s_ref * ball / (1 << n))
+    log.debug("filter: radius %d, T=%g, T_tail=%d, lambda*|B|=%g, "
+              "%.3g expected noise survivors", radius, t, t_tail, s * ball / (1 << n), survivors)
     if not keep.any():
         raise AllFilteredError(
             f"threshold {t:g} at Hamming radius {radius} removed all {s} shots; "
@@ -512,4 +561,5 @@ def filter_dataset(
         )
     kept = dataset.select_distinct(keep)
     return FilterReport(kept=kept, removed_count=s - kept.s, threshold_used=t, lam=lam,
+                        t_tail=t_tail, expected_survivors=survivors,
                         support=support, radius=radius)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import DimensionError, NormalizationError
-from .shotdata import BitString, hamming_distance
+from .shotdata import BitString, _quoted, hamming_distance
 from .emcore import MixtureModel
 
 __all__ = [
@@ -49,7 +49,7 @@ def ber(truth: Sequence[BitString], estimate: Sequence[BitString], n: int) -> Ev
         raise ValueError("truth set must be non-empty")
     for s in (*truth, *estimate):
         if s.n != n:
-            raise DimensionError(f"string {s.text} has {s.n} bits, expected {n}")
+            raise DimensionError(f"string {_quoted(s.text)} has {s.n} bits, expected {n}")
 
     pairs = sorted(
         (hamming_distance(t, e), t.text, e.text, i, j)

@@ -72,7 +72,7 @@ class BitString:
     @classmethod
     def from_text(cls, text: str) -> "BitString":
         if not text or set(text) - {"0", "1"}:
-            raise ParseError(f"not a binary string: {text!r}")
+            raise ParseError(f"not a binary string: {_quoted(text)}")
         return cls(len(text), int(text, 2))
 
     @classmethod
@@ -270,8 +270,15 @@ def _unique_rows(keys: np.ndarray) -> tuple:
     return rows.view(">u8").reshape(-1, keys.shape[1]).astype(np.uint64), counts
 
 
-# characters of a bad line that a ParseError quotes
+# characters of a bad line, key or string that an error quotes
 _QUOTED_CHARS = 80
+
+
+def _quoted(text: str) -> str:
+    """``text`` for an error line: its repr, cut to ``_QUOTED_CHARS``
+    characters and followed by "…" when it was longer."""
+    more = "…" if len(text) > _QUOTED_CHARS else ""
+    return f"{text[:_QUOTED_CHARS]!r}{more}"
 
 
 def _seekable(path, fh=None):
@@ -300,9 +307,7 @@ def load_shots_text(path, fh=None) -> ShotDataset:
             if not text:
                 continue
             if set(text) - {"0", "1"}:
-                more = "…" if len(text) > _QUOTED_CHARS else ""
-                raise ParseError(f"{path}:{lineno}: not a binary string: "
-                                 f"{text[:_QUOTED_CHARS]!r}{more}")
+                raise ParseError(f"{path}:{lineno}: not a binary string: {_quoted(text)}")
             if n is None:
                 n = len(text)
             elif len(text) != n:
@@ -477,13 +482,14 @@ def _raise_first_bad(path, table: dict) -> None:
     for key in sorted(table):
         count = table[key]
         if not key or set(key) - {"0", "1"}:
-            raise ParseError(f"{path}: bad bit-string key {key!r}")
+            raise ParseError(f"{path}: bad bit-string key {_quoted(key)}")
         if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-            raise ParseError(f"{path}: count for {key!r} must be a positive integer")
+            raise ParseError(f"{path}: count for {_quoted(key)} must be a positive integer")
         if n is None:
             n = len(key)
         elif len(key) != n:
-            raise DimensionError(f"{path}: key {key!r} has {len(key)} bits, expected {n}")
+            raise DimensionError(
+                f"{path}: key {_quoted(key)} has {len(key)} bits, expected {n}")
 
 
 def _read_json_object(path, fh=None) -> dict:

@@ -244,7 +244,8 @@ class TestMalformedFiles:
 
 
 class TestBadValues:
-    """Non-finite numbers fail at load, and a bad line is quoted in part."""
+    """Non-finite numbers fail at load, and a bad line, key or string is
+    quoted in part."""
 
     @pytest.mark.parametrize("name,doc,exit_code", [
         ("model.json", dict(GOOD_MODEL, alpha=[float("nan")]), 3),
@@ -270,6 +271,37 @@ class TestBadValues:
         assert code == 2
         assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}:1: ")
         assert len(err.encode()) < 300
+
+    @pytest.mark.parametrize("table", [
+        {"0" * 16000 + "2": 1}, {"0" * 16001: 0}, {"0" * 16000: 1, "1" * 15999: 2},
+    ], ids=["bad-key", "bad-count", "width-mismatch"])
+    def test_long_counts_key_quoted_in_part(self, capsys, tmp_path, table):
+        path = _write(tmp_path / "counts.json", table)
+        code, _, err = run(capsys, "--quiet", "filter", path)
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}: ")
+        assert len(err) < 300 and "…" in err
+
+    def test_long_model_string_quoted_in_part(self, capsys, tmp_path):
+        model = _write(tmp_path / "model.json",
+                       dict(GOOD_MODEL, solutions=["0" * 16000 + "2"], eps=[0.1] * 16001))
+        truth = _write(tmp_path / "truth.json", GOOD_TRUTH)
+        code, _, err = run(capsys, "--quiet", "evaluate", "--model", model, "--truth", truth)
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {model}: ")
+        assert len(err) < 300 and "…" in err
+
+    def test_evaluate_width_mismatch_names_both_files(self, capsys, tmp_path):
+        # a 128-bit model against a 4,096-bit truth is refused before scoring
+        model = _write(tmp_path / "model.json",
+                       dict(GOOD_MODEL, solutions=["01" * 64], eps=[0.1] * 128))
+        truth = _write(tmp_path / "truth.json",
+                       dict(GOOD_TRUTH, solutions=["01" * 2048], eps=[0.1] * 4096))
+        code, _, err = run(capsys, "--quiet", "evaluate", "--model", model, "--truth", truth)
+        assert code == 2
+        assert err == (f"error: model {model} has 128-bit strings, "
+                       f"truth {truth} has 4096-bit strings\n")
+        assert len(err) < 300
 
 
 class TestGenerate:
@@ -641,6 +673,97 @@ class TestInputFreedBeforeEm:
         assert done.returncode == 0, done.stderr
         filtered, em = map(int, done.stdout.split())
         assert em <= filtered + 1024  # KiB
+
+
+class TestProcessExit:
+    """``main`` freezes the heap before it exits; ``dispatch`` does not."""
+
+    SWEEP = {"n_values": [8], "k_values": [2], "s_values": [500],
+             "noise": [{"p": 0.3, "eps_low": 0.01, "eps_high": 0.05}],
+             "repeats": 2, "master_seed": 3, "em": {"k_max": 6}}
+    COMMANDS = (
+        ("generate", "--n", "10", "--k", "2", "--s", "2000", "--p", "0.85",
+         "--eps-low", "0.02", "--eps-high", "0.1", "--seed", "3", "--out", "data.json"),
+        ("filter", "data.json", "--t-floor", "25", "--out", "kept.json"),
+        ("mitigate", "data.json", "--t-floor", "25", "--seed", "4", "--model-out", "model.json"),
+        ("evaluate", "--model", "model.json", "--truth", "data.json.truth.json"),
+        ("sweep", "--config", "sweep.json", "--out", "sweep"),
+    )
+    OUTPUTS = ("data.json", "data.json.truth.json", "kept.json", "model.json",
+               "sweep/rows.csv", "sweep/summary.json")
+
+    def test_main_freezes_the_heap(self, tmp_path):
+        # the atexit hook runs after main's sys.exit, during finalization
+        shots = tmp_path / "shots.txt"
+        shots.write_text("0110\n" * 3 + "0111\n")
+        code = (
+            "import atexit, gc, sys\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count()))\n"
+            f"sys.argv = ['qem-mix', '--quiet', 'filter', {str(shots)!r}]\n"
+            "from qem_mix import cli\n"
+            "cli.main()\n"
+        )
+        done = run_python(code)
+        assert done.returncode == 0 and done.stderr == ""
+        lines = done.stdout.splitlines()
+        assert len(lines) == 3 and lines[0].startswith("filter: S_in=4 S_out=4 ")
+        word, count = lines[2].split()
+        assert word == "frozen" and int(count) > 0
+
+    def test_processes_match_dispatch(self, capsys, tmp_path, monkeypatch):
+        # the same commands, by relative paths, in two directories: one
+        # through fresh ``python -m qem_mix.cli`` processes, one in-process
+        outs = {}
+        for side in ("process", "dispatch"):
+            work = tmp_path / side
+            work.mkdir()
+            (work / "sweep.json").write_text(json.dumps(self.SWEEP))
+            monkeypatch.chdir(work)
+            stdout = []
+            for argv in self.COMMANDS:
+                if side == "process":
+                    done = run_cli("--quiet", *argv, cwd=work)
+                    code, out = done.returncode, done.stdout
+                else:
+                    code, out, _ = run(capsys, "--quiet", *argv)
+                assert code == 0, (side, argv)
+                stdout.append(out)
+            outs[side] = stdout, [(work / name).read_bytes() for name in self.OUTPUTS]
+        assert outs["process"] == outs["dispatch"]
+
+    @pytest.mark.parametrize("argv, exit_code", [
+        (("generate", "--n", "2", "--k", "5", "--s", "10", "--seed", "1", "--out", "x.json"), 1),
+        (("filter", "missing.json"), 2),
+        (("filter", "shots.txt"), 3),
+    ], ids=["exit-1", "exit-2", "exit-3"])
+    def test_exit_codes_through_main(self, tmp_path, argv, exit_code):
+        (tmp_path / "shots.txt").write_text("0000000000\n1111111111\n")
+        done = run_cli(*argv, cwd=tmp_path)
+        assert done.returncode == exit_code
+        assert len([line for line in done.stderr.splitlines()
+                    if line.startswith("error: ")]) == 1
+        assert "Traceback" not in done.stderr
+
+    def test_no_command_leaves_a_resource_to_collect(self, tmp_path):
+        # the freeze leaves garbage alive at exit to the OS, so every output
+        # must be closed before dispatch returns: in dev mode, an unclosed
+        # file found by the collection after each command would warn
+        (tmp_path / "sweep.json").write_text(json.dumps(self.SWEEP))
+        code = (
+            "import gc\n"
+            "from qem_mix import cli\n"
+            f"for argv in {[list(argv) for argv in self.COMMANDS]!r}:\n"
+            "    assert cli.dispatch(['--quiet', *argv]) == 0, argv\n"
+            "    gc.collect()\n"
+            "assert cli.dispatch(['--quiet', 'sweep', '--config', 'sweep.json',\n"
+            "                     '--out', 'sweep2', '--jobs', '2']) == 0\n"
+            "gc.collect()\n"
+        )
+        done = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", code],
+                              cwd=tmp_path, capture_output=True, text=True, timeout=300,
+                              env=dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1"))
+        assert done.returncode == 0, done.stderr
+        assert "ResourceWarning" not in done.stderr and "Exception ignored" not in done.stderr
 
 
 class TestSweepCommand:

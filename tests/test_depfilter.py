@@ -79,7 +79,7 @@ class TestSupportCounts:
     def test_radius_r_across_gram_blocks(self, rng, monkeypatch):
         # bands of 30 // G rows (2 or 3): pairs in different bands are
         # credited to both
-        monkeypatch.setattr(depfilter, "_BLOCK_ENTRIES", 3 * 40)
+        monkeypatch.setattr(depfilter, "_BLOCK_ENTRIES", 6 * 40)
         bits = rng.integers(0, 2, size=(40, 40), dtype=np.uint8)
         bits[20:25] = bits[0]  # one string five more times
         ds = ShotDataset.from_bit_matrix(bits)
@@ -172,7 +172,7 @@ class TestGramTiles:
         # tiles of at most 16 entries, in bands of min(U, 16 // G) rows: U
         # fits one band, is a multiple of the band height (U=10 at r=10) or
         # is off it
-        monkeypatch.setattr(depfilter, "_BLOCK_ENTRIES", 4 * 4 * 4)
+        monkeypatch.setattr(depfilter, "_BLOCK_ENTRIES", 8 * 4 * 4)
         monkeypatch.setattr(depfilter, "_gram_threads", lambda: threads)
         ds = _distinct_dataset(rng, 10, u)
         before = threading.active_count()
@@ -183,7 +183,7 @@ class TestGramTiles:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_float64_branch_above_float32_range(self, monkeypatch, threads):
         # S > 2**24 from a few large odd counts, which float32 cannot hold
-        monkeypatch.setattr(depfilter, "_BLOCK_ENTRIES", 4 * 2 * 2)
+        monkeypatch.setattr(depfilter, "_BLOCK_ENTRIES", 8 * 2 * 2)
         monkeypatch.setattr(depfilter, "_gram_threads", lambda: threads)
         keys = np.array([[0b000000], [0b000011], [0b001111], [0b111111], [0b110000]],
                         dtype=np.uint64)
@@ -195,7 +195,7 @@ class TestGramTiles:
 
     @pytest.mark.parametrize("entries", [4 * 2, 4 * 2 * 2, 4 * 4 * 4])
     def test_each_band_takes_the_whole_packed_reference(self, rng, monkeypatch, entries):
-        # G = 3 packed columns against tiles of 2, 4 and 16 entries: every
+        # G = 3 packed columns against tiles of 1, 2 and 8 entries: every
         # product spans all G columns, in bands of at least one row
         monkeypatch.setattr(depfilter, "_BLOCK_ENTRIES", entries)
         monkeypatch.setattr(depfilter, "_gram_threads", lambda: 2)
@@ -212,12 +212,12 @@ class TestGramTiles:
         assert groups == 3
         assert support_counts(ds, 4) == naive_support_counts(ds, 4)
         assert products and all(shape == (10, groups) for shape, _ in products)
-        assert all(size <= max(entries // 4, groups) for _, size in products)
+        assert all(size <= max(entries // 8, groups) for _, size in products)
 
     def test_every_worker_sums_its_bands(self, rng, monkeypatch):
         # each worker's first product waits for the others, so every worker
         # holds a band and every partial support must reach the result
-        monkeypatch.setattr(depfilter, "_BLOCK_ENTRIES", 4 * 4 * 4)
+        monkeypatch.setattr(depfilter, "_BLOCK_ENTRIES", 8 * 4 * 4)
         monkeypatch.setattr(depfilter, "_gram_threads", lambda: 3)
         barrier, seen = threading.Barrier(3), set()
 
@@ -234,7 +234,7 @@ class TestGramTiles:
 
     def test_more_threads_than_cpus_with_fast_switching(self, rng, monkeypatch):
         # a band taken twice or skipped would change some support
-        monkeypatch.setattr(depfilter, "_BLOCK_ENTRIES", 4 * 2 * 2)
+        monkeypatch.setattr(depfilter, "_BLOCK_ENTRIES", 8 * 2 * 2)
         monkeypatch.setattr(depfilter, "_gram_threads", lambda: 8)
         ds = _distinct_dataset(rng, 12, 60)
         expected = naive_support_counts(ds, 5)
@@ -249,7 +249,7 @@ class TestGramTiles:
     def test_worker_exception_reaches_the_caller(self, rng, monkeypatch):
         # the second tile product fails; the other worker's partial support
         # must not be returned in its place
-        monkeypatch.setattr(depfilter, "_BLOCK_ENTRIES", 4 * 3 * 3)
+        monkeypatch.setattr(depfilter, "_BLOCK_ENTRIES", 8 * 3 * 3)
         monkeypatch.setattr(depfilter, "_gram_threads", lambda: 2)
         calls, lock = [], threading.Lock()
 
@@ -310,7 +310,7 @@ class TestPackedGram:
     def test_every_radius_matches_brute_force(self, rng, monkeypatch, n, threads):
         # tiles of at most 50 entries over about 50 strings: bands of a few
         # rows against every packed column
-        monkeypatch.setattr(depfilter, "_BLOCK_ENTRIES", 8 * 5 * 5)
+        monkeypatch.setattr(depfilter, "_BLOCK_ENTRIES", 16 * 5 * 5)
         monkeypatch.setattr(depfilter, "_gram_threads", lambda: threads)
         ds = _clustered_dataset(rng, n)
         assert ds.key_counts.max() > 1
@@ -331,7 +331,7 @@ class TestPackedGram:
         ds = _clustered_dataset(rng, 128, u=33)
         ds = ds.select_distinct(np.arange(ds.distinct) < 3 * ((ds.distinct - 1) // 3) + 1)
         assert ds.distinct % 3 == 1
-        monkeypatch.setattr(depfilter, "_BLOCK_ENTRIES", 4 * rows * -(-ds.distinct // 3))
+        monkeypatch.setattr(depfilter, "_BLOCK_ENTRIES", 8 * rows * -(-ds.distinct // 3))
         expected = _brute_support(ds, (20, 31, 40))
         for r in expected:
             assert depfilter._packing(128, r, 24)[1] == 3
@@ -516,6 +516,61 @@ class TestSelectRadius:
         assert select_radius(10, 16384, FilterConfig()) == 8043
 
 
+class TestTailThreshold:
+    """T_tail, the smallest integer T with S * P[Poisson(lam*(n+1)) >= T-1]
+    < 1, and the expected noise survivors that a report carries."""
+
+    @pytest.mark.parametrize("s, n, t_tail", [
+        (1000, 10, 24), (1000, 12, 12), (1000, 14, 7), (2500, 10, 48), (5000, 10, 83),
+        (10**4, 10, 150), (10**4, 12, 57), (10**4, 14, 24), (10**6, 20, 47),
+        (2 * 10**4, 128, 2),
+    ])
+    def test_pins(self, s, n, t_tail):
+        assert depfilter._tail_threshold(s, n) == t_tail
+
+    @pytest.mark.parametrize("s, n", [
+        (1, 1), (5, 2), (1000, 10), (10**4, 14), (10**6, 20), (10**6, 10),
+        (2 * 10**4, 128), (10, 16384),
+    ])
+    def test_definition_holds_on_both_sides(self, s, n):
+        # T_tail meets the bound and T_tail - 1 does not, by both tails;
+        # P[X >= m] is scipy's sf(m - 1)
+        stats = pytest.importorskip("scipy.stats")
+        t, mu = depfilter._tail_threshold(s, n), s * (n + 1) / 2**n
+        assert t >= 2
+        assert s * depfilter._poisson_tail(t - 1, mu) < 1 <= s * depfilter._poisson_tail(t - 2, mu)
+        assert s * stats.poisson.sf(t - 2, mu) < 1 <= s * stats.poisson.sf(t - 3, mu)
+
+    def test_takes_logarithmically_many_tail_sums(self, monkeypatch):
+        # n=10, S=10**6: lam*(n+1) is about 10,742
+        calls, tail = [], depfilter._poisson_tail
+        monkeypatch.setattr(depfilter, "_poisson_tail",
+                            lambda m, mu: calls.append(m) or tail(m, mu))
+        t = depfilter._tail_threshold(10**6, 10)
+        assert t == 11240 and len(calls) <= 2 * t.bit_length() + 2
+
+    @pytest.mark.parametrize("threshold", [None, 5.5, 12.0])
+    def test_radius_one_report(self, rng, threshold):
+        # S * P[Poisson(lam*(n+1)) >= ceil(T - 1)] at the T the pass used
+        stats = pytest.importorskip("scipy.stats")
+        ds = random_dataset(rng, 10, 1000)
+        report = filter_dataset(ds, FilterConfig(t_floor=2), threshold=threshold)
+        assert report.radius == 1 and report.t_tail == 24
+        want = 1000 * stats.poisson.sf(math.ceil(report.threshold_used) - 2, 1000 * 11 / 1024)
+        assert report.expected_survivors == pytest.approx(want, rel=1e-9)
+
+    def test_widened_report(self):
+        # the scan keeps the expected survivors at the radius it picks below 1
+        pytest.importorskip("scipy")
+        ds = ShotDataset([B(x) for x in [WIDE_A] + WIDE_CLUSTER])
+        config = FilterConfig(eta=1.5, t_floor=3)
+        report = filter_dataset(ds, config)
+        assert report.radius == 28 and report.t_tail == 2
+        assert report.expected_survivors == pytest.approx(
+            _survivors_scipy(4, 64, config, 28), rel=1e-9)
+        assert report.expected_survivors < 1 <= _survivors_scipy(4, 64, config, 29)
+
+
 class TestFilterDataset:
     def test_identical_strings_all_kept(self):
         ds = ShotDataset([B("0110")] * 200)
@@ -645,11 +700,13 @@ class TestRadiusWidening:
         with caplog.at_level(logging.DEBUG, logger="qem_mix"):
             report = filter_dataset(ds, FilterConfig(eta=1.5, t_floor=3))
         lines = [r for r in caplog.records if r.name.startswith("qem_mix")]
-        assert len(lines) == 1 and lines[0].levelno == logging.DEBUG
+        # the pass's own line, then filter_dataset's
+        assert len(lines) == 2 and {r.levelno for r in lines} == {logging.DEBUG}
         message = lines[0].getMessage()
         assert message.startswith(f"radius {report.radius} support: U=4, 6 pairs compared on ")
         assert f" {depfilter._gram_threads()} thread(s) in " in message
         assert message.endswith(" s")
+        assert lines[1].getMessage().startswith(f"filter: radius {report.radius}, T=3, ")
 
     def test_widened_pass_logs_its_packing(self, caplog):
         # n=64, r=28: three pairs per entry, so U=4 takes one band of 4 rows
@@ -673,11 +730,14 @@ class TestRadiusWidening:
             filter_dataset(ds, config)
         assert calls == []
 
-    def test_radius_one_pass_logs_nothing(self, caplog):
+    def test_radius_one_pass_logs_only_its_summary(self, caplog):
+        # no Gram pass runs, so the one line is filter_dataset's own
         ds = ShotDataset([B("00")] * 3 + [B("01")] * 2)
         with caplog.at_level(logging.DEBUG, logger="qem_mix"):
-            filter_dataset(ds, FilterConfig(eta=1.0))
-        assert not caplog.records
+            report = filter_dataset(ds, FilterConfig(eta=1.0))
+        assert [r.getMessage() for r in caplog.records] == [
+            f"filter: radius 1, T=3.75, T_tail={report.t_tail}, lambda*|B|=3.75, "
+            f"{report.expected_survivors:.3g} expected noise survivors"]
 
     def test_distance_one_neighbor_keeps_radius_one(self):
         near_a = "0" * 63 + "1"
@@ -776,7 +836,7 @@ class TestReferencePass:
         # (S - c) / (S_R - c_R), not the reference's own shots, decides
         # what is kept
         pytest.importorskip("scipy")
-        monkeypatch.setattr(depfilter, "_BLOCK_ENTRIES", 4 * 2 * 2)
+        monkeypatch.setattr(depfilter, "_BLOCK_ENTRIES", 8 * 2 * 2)
         monkeypatch.setattr(depfilter, "_gram_threads", lambda: threads)
         ds = dataset
         if t_floor == 2:
@@ -791,6 +851,17 @@ class TestReferencePass:
         if t_floor == 8:
             assert radius != select_radius(ds.s, ds.n, config)
             assert (ds.key_counts + near >= t).sum() < kept.distinct
+
+    def test_expected_survivors_count_the_reference_shots(self, dataset):
+        # every 6th of the 43 strings: S_R = 9 of S = 52 shots
+        stats = pytest.importorskip("scipy.stats")
+        report = filter_dataset(dataset, FilterConfig(t_floor=8))
+        s, s_ref, t = dataset.s, int(dataset.key_counts[::6].sum()), report.threshold_used
+        assert (s, s_ref) == (52, 9) and report.radius > 1
+        ball = sum(math.comb(128, i) for i in range(report.radius + 1))
+        want = s * stats.poisson.sf(math.ceil((t - 1) * s_ref / s) - 1, s_ref * ball / 2**128)
+        assert report.expected_survivors == pytest.approx(want, rel=1e-9)
+        assert report.expected_survivors < 1
 
     def test_support_counts_stay_exact(self, dataset):
         expected = _brute_support(dataset, (20, 40, 60))

@@ -86,6 +86,11 @@ class TestBer:
         with pytest.raises(DimensionError):
             ber([B("00")], [B("000")], 2)
 
+    def test_dimension_error_quotes_a_wide_string_in_part(self):
+        with pytest.raises(DimensionError) as info:
+            ber([B("0" * 16)], [B("01" * 8000)], 16)
+        assert str(info.value) == f"string {'01' * 40!r}… has 16000 bits, expected 16"
+
     def test_empty_truth_rejected(self):
         with pytest.raises(ValueError):
             ber([], [B("00")], 2)

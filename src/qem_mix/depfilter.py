@@ -16,6 +16,9 @@ t_floor (``select_radius``): the widest r before the first one at which
 uniform noise is expected to leave at least one survivor. Supports counted
 against a reference of S_R shots take the same rule with S_R in place of S
 in the noise rate and the threshold scaled by S_R/S (``_scan_radius``).
+One generator, ``_radii``, grows |B_n(r)| by one exact step per radius and
+evaluates T_r: ``compute_threshold``, the radius scan and the report's
+expected noise survivors all read it.
 
 Both passes run on the dataset's sorted packed keys and their counts.
 Radius-1 counting on keys of n <= 64 bits, where 2**n is at most
@@ -372,33 +375,32 @@ def _support_within(dataset: ShotDataset, radius: int, threads: int,
     return c + (near - c_ref) * (dataset.s - c) / (reference.s - c_ref)
 
 
-def _ball(n: int, radius: int) -> int:
-    """|B_n(r)|: the number of n-bit strings within distance r of one,
-    grown by one exact step per radius, C(n, i) = C(n, i-1) * (n-i+1) / i."""
+def _radii(s: int, n: int, config: FilterConfig):
+    """(r, |B_n(r)|, T_r) for r = 1, 2, ..., n: the one place the filter's
+    rule T_r = max(t_floor, eta * lam * |B_n(r)|) is evaluated. The ball
+    grows by one exact step per radius, C(n, r) = C(n, r-1) * (n-r+1) / r,
+    so the whole scan costs O(n**2) word operations."""
     ball = comb = 1
-    for i in range(1, radius + 1):
-        comb = comb * (n - i + 1) // i
+    for r in range(1, n + 1):
+        comb = comb * (n - r + 1) // r
         ball += comb
-    return ball
-
-
-def _threshold(s: int, n: int, config: FilterConfig, radius: int, ball: int) -> float:
-    if radius == 1:
-        # the radius-1 filter's expression, kept in its evaluation order
-        expected = config.eta * math.ldexp(s, -n) * ball
-    else:
-        # lam * |B| as an int quotient: neither factor overflows a float
-        expected = config.eta * (s * ball / (1 << n))
-    return max(float(config.t_floor), expected)
+        # radius 1 keeps the radius-1 filter's evaluation order; wider balls
+        # take lam * |B| as an int quotient, so neither factor overflows
+        expected = config.eta * math.ldexp(s, -n) * ball if r == 1 \
+            else config.eta * (s * ball / (1 << n))
+        yield r, ball, max(float(config.t_floor), expected)
 
 
 def compute_threshold(s: int, n: int, config: FilterConfig, radius: int = 1) -> float:
-    """T_r = max(t_floor, eta * (S/2**n) * |B_n(r)|); |B_n(1)| = n+1."""
+    """T_r = max(t_floor, eta * (S/2**n) * |B_n(r)|); |B_n(1)| = n+1.
+    ``radius`` is an integer, a numpy one included; a bool or a float
+    raises ValueError."""
     if s < 1 or n < 1:
         raise ValueError(f"need s >= 1 and n >= 1, got s={s}, n={n}")
+    _check_integer("radius", radius)
     if not 1 <= radius <= n:
         raise ValueError(f"radius must be in [1, {n}], got {radius}")
-    return _threshold(s, n, config, radius, _ball(n, radius))
+    return next(t for r, _, t in _radii(s, n, config) if r == radius)
 
 
 def _poisson_tail(m: int, mu: float) -> float:
@@ -481,22 +483,19 @@ def select_radius(s: int, n: int, config: Optional[FilterConfig] = None) -> int:
 
 
 def _scan_radius(s: int, n: int, config: FilterConfig, s_ref: int) -> tuple:
-    """(radius, T_r) of ``select_radius``'s scan for supports counted
-    against a reference of ``s_ref`` of the S shots (see
-    ``_support_within``): a noise string is kept when its reference
-    neighbours reach ceil((T_r - 1) * S_R / S), so the expected survivors
-    are S * P[Poisson(S_R*|B_n(r)|/2**n) >= that]. With S_R = S this is
-    ``select_radius``'s rule, computed exactly. |B_n(r)| grows by one exact
-    step per radius, C(n, r) = C(n, r-1) * (n-r+1) / r: O(n**2) word
-    operations in all."""
-    ball, comb, full, last = 1, 1, 1 << n, None
-    for r in range(1, n + 1):
-        comb = comb * (n - r + 1) // r
-        ball += comb
-        t = _threshold(s, n, config, r, ball)
-        if _noise_survivors(s, t, s_ref, s_ref * ball / full) >= 1:
-            return last or (1, t)
-        last = r, t
+    """(radius, T_r, |B_n(r)|, expected noise survivors) at the radius of
+    ``select_radius``'s scan for supports counted against a reference of
+    ``s_ref`` of the S shots (see ``_support_within``): a noise string is
+    kept when its reference neighbours reach ceil((T_r - 1) * S_R / S), so
+    the expected survivors are S * P[Poisson(S_R*|B_n(r)|/2**n) >= that].
+    With S_R = S this is ``select_radius``'s rule, computed exactly. The
+    balls and thresholds come from ``_radii``."""
+    last = None
+    for r, ball, t in _radii(s, n, config):
+        survivors = _noise_survivors(s, t, s_ref, s_ref * ball / (1 << n))
+        if survivors >= 1:
+            return last or (r, t, ball, survivors)
+        last = r, t, ball, survivors
     return last
 
 
@@ -535,23 +534,21 @@ def filter_dataset(
     check_threshold(threshold)
     config = config or FilterConfig()
     s, n = dataset.s, dataset.n
-    lam = math.ldexp(s, -n)
-    radius = 1
-    t = compute_threshold(s, n, config) if threshold is None else float(threshold)
-    s_ref = s  # the shots the supports are counted against
+    radius, ball, t = next(_radii(s, n, config))
+    t = t if threshold is None else float(threshold)
+    survivors = _noise_survivors(s, t, s, s * ball / (1 << n))
     support = _support(dataset)
     keep = support >= t
     if not keep.any() and threshold is None and np.array_equal(support, dataset.key_counts):
-        radius, t = _scan_radius(s, n, config, s)
+        radius, t, ball, survivors = _scan_radius(s, n, config, s)
         step = -(-dataset.distinct // _REFERENCE_STRINGS)
         if t <= s and step > 1:
-            s_ref = int(dataset.key_counts[::step].sum())
-            radius, t = _scan_radius(s, n, config, s_ref)
+            s_ref = int(dataset.key_counts[::step].sum())  # the reference's shots
+            radius, t, ball, survivors = _scan_radius(s, n, config, s_ref)
         if radius > 1 and t <= s:  # no support exceeds S, so a higher T keeps nothing
             support = _support_within(dataset, radius, _gram_threads(), step)
             keep = support >= t
-    ball, t_tail = _ball(n, radius), _tail_threshold(s, n)
-    survivors = _noise_survivors(s, t, s_ref, s_ref * ball / (1 << n))
+    t_tail = _tail_threshold(s, n)
     log.debug("filter: radius %d, T=%g, T_tail=%d, lambda*|B|=%g, "
               "%.3g expected noise survivors", radius, t, t_tail, s * ball / (1 << n), survivors)
     if not keep.any():
@@ -560,6 +557,6 @@ def filter_dataset(
             f"lower eta (currently {config.eta:g}) or pass an explicit --threshold"
         )
     kept = dataset.select_distinct(keep)
-    return FilterReport(kept=kept, removed_count=s - kept.s, threshold_used=t, lam=lam,
-                        t_tail=t_tail, expected_survivors=survivors,
+    return FilterReport(kept=kept, removed_count=s - kept.s, threshold_used=t,
+                        lam=math.ldexp(s, -n), t_tail=t_tail, expected_survivors=survivors,
                         support=support, radius=radius)

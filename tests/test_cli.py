@@ -766,6 +766,64 @@ class TestProcessExit:
         assert "ResourceWarning" not in done.stderr and "Exception ignored" not in done.stderr
 
 
+def _shape(n):
+    """The shape-matrix input at width n: one to three distinct strings, each
+    with count 1 or 10**18 (see ``TestShapeMatrix``)."""
+    zeros, ones = "0" * n, "1" * n
+    one_bit, alternating = "1" + "0" * (n - 1), ("01" * n)[:n]
+    big = 10**18
+    return {1: {zeros: big, ones: 1}, 2: {alternating: 1}, 63: {zeros: big},
+            64: {zeros: 1, ones: 1}, 65: {zeros: big, one_bit: big, ones: 1},
+            128: {zeros: big, ones: big}, 4096: {zeros: 1, ones: 1, one_bit: 1},
+            16384: {zeros: 1, ones: 1, alternating: 1}}[n]
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+class TestShapeMatrix:
+    """``filter`` and ``mitigate`` over the widths where the key layout or
+    the filter's rule changes shape, on one to three distinct strings of
+    count 1 or 10**18. Each case exits with its code (3: the filter kept
+    nothing, or no component held the n/2 mass floor), prints exactly one
+    ``error:`` line when it fails, ends within 10 s, and peaks below 96 MiB
+    of VmHWM, read by the child from its own status at exit: a child's
+    ``ru_maxrss`` keeps the peak of the process that forked it. n=16,384
+    widens to r=8,120."""
+
+    EXIT = {  # n: (filter, mitigate)
+        1: (3, 0), 2: (3, 3), 63: (0, 0), 64: (3, 3), 65: (0, 0), 128: (0, 0),
+        4096: (0, 3), 16384: (3, 3),
+    }
+    CASES = [(command, n, codes[i]) for n, codes in EXIT.items()
+             for i, command in enumerate(("filter", "mitigate"))]
+
+    @pytest.mark.parametrize("command, n, exit_code", CASES,
+                             ids=[f"{command}-{n}" for command, n, _ in CASES])
+    def test_case(self, tmp_path, command, n, exit_code):
+        data = tmp_path / "data.json"
+        data.write_text(json.dumps(_shape(n), sort_keys=True, separators=(",", ":")))
+        argv = ["--quiet", command, str(data)]
+        if command == "mitigate":
+            argv += ["--seed", "5", "--model-out", str(tmp_path / "model.json")]
+        code = PEAK + (
+            "import atexit, sys\n"
+            "atexit.register(lambda: print('VmHWM', peak()))\n"
+            f"sys.argv = ['qem-mix', *{argv!r}]\n"
+            "from qem_mix import cli\n"
+            "cli.main()\n"
+        )
+        start = time.perf_counter()
+        done = run_python(code)
+        wall = time.perf_counter() - start
+        assert done.returncode == exit_code, done.stderr
+        errors = [line for line in done.stderr.splitlines() if line.startswith("error: ")]
+        assert len(errors) == (exit_code != 0) and "Traceback" not in done.stderr
+        if command == "filter" and n == 16384:
+            assert "Hamming radius 8120 " in errors[0]
+        word, kib = done.stdout.splitlines()[-1].split()
+        assert word == "VmHWM" and int(kib) < 96 * 1024
+        assert wall < 10
+
+
 class TestSweepCommand:
     def _config(self, tmp_path, master_seed=3):
         doc = {

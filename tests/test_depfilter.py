@@ -419,6 +419,16 @@ class TestComputeThreshold:
     def test_small_exact(self):
         assert compute_threshold(16, 4, FilterConfig(eta=1.0, t_floor=2)) == 5.0
 
+    def test_radius_is_an_integer(self):
+        # as in support_counts: a numpy integer counts as its value, a
+        # bool or a float is refused, even one that names a valid radius
+        config = FilterConfig()
+        assert compute_threshold(300, 64, config, np.int64(3)) == \
+            compute_threshold(300, 64, config, 3)
+        for radius in (True, 2.0, 2.5):
+            with pytest.raises(ValueError, match="radius"):
+                compute_threshold(300, 64, config, radius)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             FilterConfig(eta=0.0)
@@ -498,19 +508,27 @@ class TestSelectRadius:
         (3000, 70, 65), (20, 4096, 2),
     ])
     def test_scan_returns_the_radius_and_its_threshold(self, s, n, t_floor):
-        # (10000, 12) stops at radius 1, (3000, 70) runs out to radius n
+        # (10000, 12) stops at radius 1, (3000, 70) runs out to radius n;
+        # the scan also returns that radius's ball and expected survivors
         config = FilterConfig(t_floor=t_floor)
         radius = select_radius(s, n, config)
-        assert depfilter._scan_radius(s, n, config, s) == \
-            (radius, compute_threshold(s, n, config, radius))
+        scan = depfilter._scan_radius(s, n, config, s)
+        assert scan[:2] == (radius, compute_threshold(s, n, config, radius))
+        assert scan[2] == sum(math.comb(n, i) for i in range(radius + 1))
+        pytest.importorskip("scipy")
+        assert scan[3] == pytest.approx(_survivors_scipy(s, n, config, radius), rel=1e-10)
 
     def test_reference_scan_matches_the_definition(self):
-        pytest.importorskip("scipy")
+        poisson = pytest.importorskip("scipy.stats").poisson
         config = FilterConfig()
         for s, n, s_ref in [(20000, 128, 2000), (52, 128, 8)]:
             scan = depfilter._scan_radius(s, n, config, s_ref)
-            assert scan == _reference_scan(s, n, config, s_ref)
+            assert scan[:2] == _reference_scan(s, n, config, s_ref)
             assert scan[0] != select_radius(s, n, config)
+            radius, t, ball, survivors = scan
+            assert ball == sum(math.comb(n, i) for i in range(radius + 1))
+            want = s * poisson.sf(math.ceil((t - 1) * s_ref / s) - 1, s_ref * ball / 2**n)
+            assert survivors == pytest.approx(want, rel=1e-10)
 
     def test_wide_register_radius(self):
         assert select_radius(10, 16384, FilterConfig()) == 8043

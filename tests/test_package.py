@@ -16,26 +16,37 @@ ROOT = PACKAGE.parents[1]
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
+def _defined(node):
+    """The names a module-level statement defines: a function's or a
+    class's, or every name an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [name.id for target in node.targets for name in ast.walk(target)
+                if isinstance(name, ast.Name)]
+    return []
+
+
 def test_every_private_helper_is_named_elsewhere():
     # a name counts where code uses it: a load, an attribute or an import,
-    # never a docstring, a comment or its own definition
+    # never a docstring, a comment or its own definition; helpers are
+    # module-level private functions, classes and constants
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
     used = set()
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
     unused = [
-        f"{name}: {node.name}"
+        f"{name}: {defined}"
         for name, tree in trees.items()
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name.startswith("_") and not node.name.startswith("__")
-        and node.name not in used
+        for defined in _defined(node)
+        if defined.startswith("_") and not defined.startswith("__") and defined not in used
     ]
     assert unused == []
 
